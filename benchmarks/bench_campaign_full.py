@@ -9,9 +9,10 @@ grid and gates on the determinism contract before any timing counts:
 
 * the thread and process stores must equal the serial store element for
   element, **and** their saved-JSON checkpoints must be byte-identical;
-* a budgeted process run (``max_shards=1``) checkpointed and then
-  resumed must reach the same final store as an uninterrupted run, with
-  the resumed jobs accounted in telemetry;
+* a process run that crashes on one dataset leaves the campaign core's
+  on-error checkpoint behind, and resuming from it must reach the same
+  final store as an uninterrupted run, with every checkpointed job
+  accounted as resumed in telemetry;
 * the ``array_digest`` identity memo must return bit-identical digests
   to the uncached computation (and the bench records its speedup).
 
@@ -59,7 +60,7 @@ from repro.core.config_space import (
 from repro.core.results import ResultStore
 from repro.datasets import load_corpus
 from repro.learn.cache import _uncached_digest, array_digest
-from repro.platforms import ALL_PLATFORMS
+from repro.platforms import ALL_PLATFORMS, Amazon
 from repro.service import CampaignScheduler, ShardedCampaign
 
 SPLIT_SEED = 7
@@ -70,6 +71,20 @@ SPEEDUP_MIN_CPUS = 4
 #: Ensemble/network classifiers whose training dominates wall-clock —
 #: the grid must be compute-bound for process speedup to be measurable.
 HEAVY_CLASSIFIERS = ("BST", "RF", "MLP", "BAG")
+#: The fourth corpus dataset in both modes; the resume check crashes on it.
+CRASH_DATASET = "social_science/soci_02"
+#: Counters the report copies from the process run's telemetry.
+REPORTED_COUNTERS = ("jobs_total", "jobs_resumed", "jobs_failed",
+                     "shards_total", "shards_done")
+
+
+class CrashingAmazon(Amazon):
+    """Dies on one dataset; module-level so shard workers can rebuild it."""
+
+    def upload_dataset(self, X, y, name="dataset"):
+        if name == CRASH_DATASET:
+            raise RuntimeError(f"simulated crash on {name}")
+        return super().upload_dataset(X, y, name=name)
 
 
 def _usable_cpus() -> int:
@@ -155,25 +170,30 @@ def _timed(fn):
 
 
 def _resume_check(corpus, configurations, serial_store, directory) -> dict:
-    """Budgeted run → checkpoint → resume must equal uninterrupted serial."""
+    """Crash → on-error checkpoint → resume must equal uninterrupted serial."""
     checkpoint = Path(directory) / "resume-checkpoint.json"
-    first = ShardedCampaign(processes=2)
-    partial = first.run(
-        ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
-        corpus, configurations,
-        checkpoint_path=checkpoint, max_shards=1,
-    )
+    crashing = [CrashingAmazon(random_state=0) if p.name == Amazon.name
+                else p for p in _fresh_platforms()]
+    try:
+        ShardedCampaign(processes=2).run(
+            ExperimentRunner(split_seed=SPLIT_SEED), crashing,
+            corpus, configurations, checkpoint_path=checkpoint,
+        )
+        crashed = False
+    except RuntimeError:
+        crashed = True
+    checkpointed = ResultStore.load(checkpoint)
     second = ShardedCampaign(processes=2)
     resumed = second.run(
         ExperimentRunner(split_seed=SPLIT_SEED), _fresh_platforms(),
         corpus, configurations,
-        resume_from=ResultStore.load(checkpoint),
+        resume_from=checkpointed,
         checkpoint_path=checkpoint,
     )
-    counters = second.telemetry.snapshot()["counters"]
     return {
-        "partial_jobs": len(list(partial)),
-        "resumed_jobs": counters["jobs_resumed"],
+        "crashed": crashed,
+        "checkpointed_jobs": len(checkpointed),
+        "resumed_jobs": second.telemetry.counter_value("jobs_resumed"),
         "final_equals_serial": list(resumed) == list(serial_store),
     }
 
@@ -249,7 +269,8 @@ def run_bench(quick: bool = True) -> dict:
                     == serial_bytes,
             },
             "fit_cache": engine.fit_cache_stats,
-            "dag": engine.dag.summary(),
+            "counters": {name: engine.telemetry.counter_value(name)
+                         for name in REPORTED_COUNTERS},
             "resume": _resume_check(
                 corpus, configurations, serial_store, tmp),
             "digest_memo": _digest_memo_bench(200 if quick else 2000),
@@ -281,8 +302,11 @@ def print_report(results: dict) -> None:
     cache = results["fit_cache"]
     print(f"fit cache: {cache['entries']} entries, "
           f"{cache['hits']} hits, {cache['misses']} misses")
+    print("process counters: " + ", ".join(
+        f"{name}={value}" for name, value in results["counters"].items()))
     resume = results["resume"]
-    print(f"resume: {resume['partial_jobs']} checkpointed, "
+    print(f"resume: crashed={resume['crashed']}, "
+          f"{resume['checkpointed_jobs']} checkpointed, "
           f"{resume['resumed_jobs']} resumed, "
           f"final_equals_serial={resume['final_equals_serial']}")
     memo = results["digest_memo"]
@@ -307,9 +331,10 @@ def check_results(results: dict) -> None:
     assert results["fit_cache"]["hits"] > 0, \
         "shard FitCache never hit — cache sharing is broken"
     resume = results["resume"]
+    assert resume["crashed"], "the crashing platform did not crash"
     assert resume["final_equals_serial"], \
-        "kill-then-resume diverged from the uninterrupted serial run"
-    assert resume["resumed_jobs"] == resume["partial_jobs"] > 0
+        "crash-then-resume diverged from the uninterrupted serial run"
+    assert resume["resumed_jobs"] == resume["checkpointed_jobs"] > 0
     memo = results["digest_memo"]
     assert memo["digests_match"], "memoized digest differs from uncached"
     assert memo["speedup"] > 1.0, "digest memo slower than recomputing"

@@ -117,40 +117,30 @@ class ExperimentRunner:
         checkpoint_path=None,
         checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Run every configuration on every dataset.
+        """Run every configuration on every dataset, in that order.
 
         Parameters
         ----------
         resume_from : ResultStore or None
             Previously collected results; measurements already present
-            (same platform, dataset, configuration) are skipped — this is
-            how a paper-scale sweep survives interruption.
+            (same platform, dataset, configuration) are reused rather
+            than re-run — this is how a paper-scale sweep survives
+            interruption.  Results outside this sweep are ignored.
         checkpoint_path : path-like or None
-            When set, the accumulated store is saved there every
-            ``checkpoint_every`` new measurements and at the end.
+            When set, the completed measurements are saved there every
+            ``checkpoint_every`` new measurements, at the end, and
+            before an error propagates.
         """
-        store = ResultStore()
-        done = set()
-        if resume_from is not None:
-            for result in resume_from:
-                if result.platform == platform.name:
-                    store.add(result)
-                    done.add((result.dataset, result.configuration))
-        configurations = list(configurations)
-        new_measurements = 0
-        for dataset in datasets:
-            split = self.split(dataset)
-            for configuration in configurations:
-                if (dataset.name, configuration) in done:
-                    continue
-                store.add(self.run_one(platform, dataset, configuration, split))
-                new_measurements += 1
-                if checkpoint_path is not None and \
-                        new_measurements % checkpoint_every == 0:
-                    store.save(checkpoint_path)
-        if checkpoint_path is not None and new_measurements:
-            store.save(checkpoint_path)
-        return store
+        # Imported here: the campaign core lives in the service layer,
+        # which itself imports this module.
+        from repro.service.scheduler import run_campaign, serial_executor
+        from repro.service.telemetry import Telemetry
+
+        return run_campaign(
+            [platform], datasets, list(configurations),
+            serial_executor(self, [platform]), Telemetry(),
+            resume_from, checkpoint_path, checkpoint_every,
+        )
 
     def predictions_for(
         self,

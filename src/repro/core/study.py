@@ -96,7 +96,7 @@ class MLaaSStudy:
         result store is identical to the serial path.
     processes : int
         Worker processes.  ``> 1`` routes every protocol through the
-        process-sharded :class:`repro.service.ShardedCampaign` — the
+        process executor :class:`repro.service.ShardedCampaign` — the
         CPU-bound full-grid path past the GIL, still bit-identical to
         serial.  Threads and processes are alternative backends: at most
         one of ``workers``/``processes`` may exceed 1, and process mode
@@ -228,43 +228,34 @@ class MLaaSStudy:
         checkpoint_path=None,
         checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Run a plan through the concurrent campaign backend.
+        """Run a plan through a concurrent campaign executor.
 
         ``processes > 1`` fans dataset-keyed shards over a process pool
-        (:class:`~repro.service.ShardedCampaign`), checkpointing after
-        every completed shard; otherwise the thread scheduler runs it,
-        checkpointing every ``checkpoint_every`` measurements.  Either
-        way the results are identical to the serial path, and the
-        backend's :class:`~repro.service.Telemetry` is kept on
+        (:class:`~repro.service.ShardedCampaign`); otherwise a pool of
+        ``workers`` threads runs it
+        (:class:`~repro.service.CampaignScheduler`).  Either way the results are identical to the serial path, the
+        checkpoint is rewritten every ``checkpoint_every`` measurements,
+        and the executor's :class:`~repro.service.Telemetry` is kept on
         ``self.telemetry`` for inspection/export.
         """
         # Imported here to keep repro.core importable without the service
         # layer at import time (service imports core.runner/core.results).
         from repro.service import CampaignScheduler, ShardedCampaign
 
-        platforms = [platform for platform, _ in plan]
-        configurations = {platform.name: configs
-                          for platform, configs in plan}
         if self.processes > 1:
-            engine = ShardedCampaign(processes=self.processes)
-            store = engine.run(
-                self.runner, platforms, self.corpus, configurations,
-                resume_from=resume_from,
-                checkpoint_path=checkpoint_path,
+            executor = ShardedCampaign(processes=self.processes)
+        else:
+            executor = CampaignScheduler(
+                workers=self.workers, clock=self.clock, seed=self.random_state,
             )
-            self.telemetry = engine.telemetry
-            return store
-        scheduler = CampaignScheduler(
-            workers=self.workers, clock=self.clock, seed=self.random_state,
-        )
-        store = scheduler.run(
-            self.runner, platforms, self.corpus, configurations,
+        self.telemetry = executor.telemetry
+        return executor.run(
+            self.runner, [platform for platform, _ in plan], self.corpus,
+            {platform.name: configs for platform, configs in plan},
             resume_from=resume_from,
             checkpoint_path=checkpoint_path,
             checkpoint_every=checkpoint_every,
         )
-        self.telemetry = scheduler.telemetry
-        return store
 
     def run_campaign(
         self,

@@ -12,25 +12,29 @@ against six rate-limited services):
   exponential backoff under a :class:`RetryPolicy`.
 * :mod:`repro.service.telemetry` — counters, latency/attempt histograms
   and per-platform request accounting with JSON snapshot export.
-* :mod:`repro.service.scheduler` — :class:`CampaignScheduler`, a worker
-  pool with fair round-robin dispatch, per-platform concurrency caps,
-  backpressure, and checkpoint/resume, whose results are bit-identical
-  to the serial sweep regardless of worker count.
+* :mod:`repro.service.scheduler` — the campaign core
+  (:func:`~repro.service.scheduler.run_campaign`): one job table,
+  serial-index slot table, resume matching, atomic checkpoint policy
+  and jobs telemetry, fed by one of three executors — a loop over
+  ``runner.run_one``, the thread pool of :class:`CampaignScheduler`
+  (fair round-robin dispatch, one job in flight per platform, bounded
+  backpressure), or the process shards below.  Results are
+  bit-identical to the serial sweep whichever executor runs them; on
+  an executor error the core checkpoints the completed slots before
+  re-raising.
 * :mod:`repro.service.dag` / :mod:`repro.service.sharding` —
-  :class:`CampaignDAG` and :class:`ShardedCampaign`: the CPU-bound
-  full-corpus grid partitioned into dataset-keyed shards, fanned out
-  over a process pool past the GIL, stitched back into serial-index
-  slots (bit-identical to serial), checkpointed atomically per shard
-  and resumable from the standard ResultStore checkpoint.
+  :class:`CampaignDAG` and :class:`ShardedCampaign`, the process
+  executor: pending jobs grouped into dataset-keyed shards, fanned over
+  a process pool past the GIL.
 
-Entry points: ``MLaaSStudy(workers=...)`` routes the study protocols
-through a thread scheduler, ``MLaaSStudy(processes=...)`` through the
-process-sharded engine, and the ``repro campaign`` CLI runs either from
-the command line.
+Entry points: ``ExperimentRunner.sweep`` runs the serial executor,
+``MLaaSStudy(workers=...)`` the thread executor,
+``MLaaSStudy(processes=...)`` the process executor, and the
+``repro campaign`` CLI runs either of the last two.
 """
 
 from repro.service.clock import VirtualClock, WallClock
-from repro.service.dag import CampaignDAG, JobStatus, ShardNode
+from repro.service.dag import CampaignDAG, ShardNode
 from repro.service.resilience import ResilientClient, RetryPolicy, is_transient
 from repro.service.scheduler import (
     CampaignJob,
@@ -60,7 +64,6 @@ __all__ = [
     "CampaignScheduler",
     "Counter",
     "Histogram",
-    "JobStatus",
     "PlatformSpec",
     "ResilientClient",
     "RetryPolicy",

@@ -1,48 +1,32 @@
-"""Resumable campaign DAG: dataset-keyed shards with per-job states.
+"""Campaign DAG: the pending jobs of a campaign grouped into shards.
 
-A full-corpus campaign is a job table (the serial platform → dataset →
-configuration enumeration of :func:`repro.service.scheduler.build_campaign`)
-that the process-sharded engine partitions by **dataset**: every job that
-measures one dataset lands in that dataset's shard, because the dataset's
-arrays are the expensive thing to ship across the process boundary and
-every platform re-derives its per-job seed from (platform seed, data,
-configuration) — so a shard is self-contained and order-free.
+The process executor (:mod:`repro.service.sharding`) runs a campaign's
+pending jobs — the serial platform → dataset → configuration enumeration
+of :func:`repro.service.scheduler.build_campaign`, minus what a resume
+filled — grouped by **dataset**: every job that measures one dataset
+lands in that dataset's shard, because the dataset's arrays are the
+expensive thing to ship across the process boundary and every platform
+re-derives its per-job seed from (platform seed, data, configuration) —
+so a shard is self-contained and order-free.
 
-The DAG itself is deliberately shallow: every shard node feeds one
-implicit *merge* node (the stitch back into serial-index slots), and
-shards have no edges between each other — they are independent by
-construction.  What the DAG tracks is **state**: each job is
-``pending`` → ``running`` → ``done`` | ``failed``, and a shard's state is
-derived from its jobs.  State is *persisted through the existing
-checkpoint format*: a completed job's :class:`~repro.core.results.ExperimentResult`
-appears in the ResultStore JSON checkpoint, so resuming is
-:meth:`CampaignDAG.apply_resume` over the loaded store — no second
-manifest file that could drift from the results it describes.
+The DAG is deliberately shallow and holds no state: every shard feeds
+one implicit merge (the campaign core's slot table, which is the only
+state a campaign has), and shards have no edges between each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 from repro.exceptions import ValidationError
 
-__all__ = ["JobStatus", "ShardNode", "CampaignDAG"]
+__all__ = ["ShardNode", "CampaignDAG"]
 
 
-class JobStatus(str, Enum):
-    """Lifecycle of one campaign job (and, derived, of one shard)."""
-
-    PENDING = "pending"
-    RUNNING = "running"
-    DONE = "done"
-    FAILED = "failed"
-
-
-@dataclass
+@dataclass(frozen=True)
 class ShardNode:
-    """One DAG node: every job of one dataset, pinned to serial indices."""
+    """One shard: every job of one dataset, pinned to serial indices."""
 
     shard_id: int
     dataset: str
@@ -53,117 +37,38 @@ class ShardNode:
 
 
 class CampaignDAG:
-    """Shard nodes plus per-job state over a campaign job table.
+    """Jobs still to run, grouped into dataset-keyed shards.
 
-    Built from the serial job enumeration with :meth:`from_jobs`; shards
-    appear in first-dataset-seen order (the serial dataset order), so
-    every derived ordering — shard dispatch, checkpoint content, cache
-    stat merges — is deterministic and independent of completion order.
+    Shards appear in first-dataset-seen order — the serial dataset
+    order — so shard dispatch and cache-stat merges are deterministic.
     """
 
-    def __init__(self, shards: Sequence[ShardNode], n_jobs: int):
+    def __init__(self, shards: Sequence[ShardNode]):
         self.shards = list(shards)
         covered = [index for shard in self.shards
                    for index in shard.job_indices]
-        if sorted(covered) != list(range(n_jobs)):
+        if len(set(covered)) != len(covered):
             raise ValidationError(
-                "shards must partition the job table exactly: "
-                f"{len(covered)} covered of {n_jobs} jobs"
+                "shards must partition their jobs: a job index appears "
+                "in more than one shard"
             )
-        self._job_status = [JobStatus.PENDING] * n_jobs
-        self._shard_failed = [False] * len(self.shards)
-        self._by_dataset = {shard.dataset: shard for shard in self.shards}
 
     @staticmethod
     def from_jobs(jobs: Iterable) -> "CampaignDAG":
-        """Group a serial job enumeration into dataset-keyed shards."""
-        jobs = list(jobs)
+        """Group the pending jobs of a serial enumeration by dataset."""
         by_dataset: dict[str, list[int]] = {}
         for job in jobs:
             by_dataset.setdefault(job.dataset.name, []).append(job.index)
-        shards = [
+        return CampaignDAG([
             ShardNode(shard_id=shard_id, dataset=dataset,
                       job_indices=tuple(sorted(indices)))
             for shard_id, (dataset, indices) in enumerate(by_dataset.items())
-        ]
-        return CampaignDAG(shards, n_jobs=len(jobs))
-
-    # -- state transitions -------------------------------------------------
-
-    def job_status(self, index: int) -> JobStatus:
-        """Current state of one job by its serial index."""
-        return self._job_status[index]
-
-    def mark_job_done(self, index: int) -> None:
-        """Record one completed measurement."""
-        self._job_status[index] = JobStatus.DONE
-
-    def apply_resume(self, done_indices: Iterable[int]) -> int:
-        """Mark checkpoint-recovered jobs done; returns how many.
-
-        ``done_indices`` come from matching a loaded ResultStore
-        checkpoint against the job table (the scheduler's resume-index
-        pattern) — the checkpoint *is* the persisted DAG state.
-        """
-        count = 0
-        for index in done_indices:
-            if self._job_status[index] is not JobStatus.DONE:
-                self._job_status[index] = JobStatus.DONE
-                count += 1
-        return count
-
-    def mark_shard_running(self, shard_id: int) -> None:
-        """Move every pending job of a dispatched shard to running."""
-        for index in self.shards[shard_id].job_indices:
-            if self._job_status[index] is JobStatus.PENDING:
-                self._job_status[index] = JobStatus.RUNNING
-
-    def mark_shard_failed(self, shard_id: int) -> None:
-        """Record a shard whose worker raised; its open jobs fail."""
-        self._shard_failed[shard_id] = True
-        for index in self.shards[shard_id].job_indices:
-            if self._job_status[index] is not JobStatus.DONE:
-                self._job_status[index] = JobStatus.FAILED
-
-    # -- derived views -----------------------------------------------------
-
-    def shard_status(self, shard_id: int) -> JobStatus:
-        """A shard's state, derived from its jobs (failed wins, then
-        running, then pending; done only when every job is done)."""
-        if self._shard_failed[shard_id]:
-            return JobStatus.FAILED
-        statuses = {self._job_status[index]
-                    for index in self.shards[shard_id].job_indices}
-        for status in (JobStatus.FAILED, JobStatus.RUNNING, JobStatus.PENDING):
-            if status in statuses:
-                return status
-        return JobStatus.DONE
+        ])
 
     def pending_jobs(self, shard_id: int) -> list:
-        """Serial indices of a shard's not-yet-done jobs."""
-        return [index for index in self.shards[shard_id].job_indices
-                if self._job_status[index] is not JobStatus.DONE]
+        """Serial indices of one shard's jobs."""
+        return list(self.shards[shard_id].job_indices)
 
     def pending_shards(self) -> list:
-        """Shards with at least one job still to run, in serial order."""
-        return [shard for shard in self.shards
-                if self.pending_jobs(shard.shard_id)]
-
-    def merge_ready(self) -> bool:
-        """True when every shard is done — the merge node can fire."""
-        return all(self.shard_status(shard.shard_id) is JobStatus.DONE
-                   for shard in self.shards)
-
-    def summary(self) -> dict:
-        """Deterministic JSON-able count of shard and job states."""
-        shard_counts: dict[str, int] = {}
-        for shard in self.shards:
-            status = self.shard_status(shard.shard_id).value
-            shard_counts[status] = shard_counts.get(status, 0) + 1
-        job_counts: dict[str, int] = {}
-        for status in self._job_status:
-            job_counts[status.value] = job_counts.get(status.value, 0) + 1
-        return {
-            "shards": dict(sorted(shard_counts.items())),
-            "jobs": dict(sorted(job_counts.items())),
-        }
+        """Every shard, in serial order."""
+        return list(self.shards)

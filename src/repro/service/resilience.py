@@ -211,9 +211,9 @@ class ResilientClient:
                         outcome="error",
                     )
                     raise
-                # Draw under the client lock: with per_platform_cap > 1
-                # two threads retrying the same platform would otherwise
-                # race on the generator's internal state.
+                # Draw under the client lock: the client is thread-safe,
+                # so two threads retrying through it must not race on
+                # the generator's internal state.
                 with self._lock:
                     u = float(self._rng.uniform(-1.0, 1.0))
                 self.clock.sleep(self.policy.delay(attempts, u))

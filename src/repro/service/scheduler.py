@@ -1,28 +1,39 @@
-"""Concurrent campaign scheduler with a deterministic result contract.
+"""The campaign core, and its serial and thread executors.
 
-The serial double loop in :meth:`repro.core.runner.ExperimentRunner.sweep`
-is the reproduction's equivalent of the paper's measurement scripts; this
-module is the infrastructure that lets the same measurements be *served*:
-a worker pool drives many platforms at once through
-:class:`~repro.service.resilience.ResilientClient` wrappers, with
+Every campaign — a single-platform ``ExperimentRunner.sweep``, a thread
+pool of :class:`CampaignScheduler` workers, or process shards of
+:class:`~repro.service.sharding.ShardedCampaign` — runs through one core,
+:func:`run_campaign`, which owns
+
+* the job table (:func:`build_campaign`, the serial
+  platform → dataset → configuration enumeration),
+* the **serial-index slot table** and resume matching,
+* one atomic checkpoint function with one policy (every
+  ``checkpoint_every`` new measurements, at the end, and — on an
+  executor error — once more before re-raising), and
+* the ``jobs_total``/``jobs_resumed``/``jobs_failed`` telemetry.
+
+An *executor* is a callable taking the pending jobs and yielding batches
+of completed ``(serial_index, result)`` pairs; the core consumes them on
+the calling thread, so only that thread ever writes a checkpoint.
+:func:`serial_executor` loops over ``runner.run_one``; the thread pool
+below adds
 
 * **fair round-robin dispatch** across platforms (no platform starves),
-* **per-platform concurrency caps** (default 1: each simulated service
-  processes its jobs strictly in order, like a real job queue),
-* **backpressure** via a bounded dispatch queue,
-* **checkpoint/resume** compatible with
-  :class:`~repro.core.results.ResultStore` JSON checkpoints, and
-* **telemetry** for every request, retry and job.
+* one job in flight per platform (each simulated service processes its
+  jobs strictly in order, like a real job queue),
+* **backpressure** via a dispatch queue bounded at ``2 * workers``, and
+* **resilience** and **telemetry** for every request through
+  :class:`~repro.service.resilience.ResilientClient` wrappers.
 
 Determinism contract
 --------------------
 The returned store is **bit-identical to the serial sweep regardless of
-worker count**.  Numerics are already order-independent — every job's
-seed is derived from (platform seed, data, configuration) in
-:mod:`repro.platforms.base` — so the scheduler only has to pin
-*ordering*: each job carries the index it would have in the serial
-platform→dataset→configuration loop, workers fill a slot table, and the
-final store reads the slots in index order.
+executor or worker count**.  Numerics are already order-independent —
+every job's seed is derived from (platform seed, data, configuration) in
+:mod:`repro.platforms.base` — so the core only has to pin *ordering*:
+each job carries the index it would have in the serial loop, batches
+fill the slot table by index, and the store reads the slots in order.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -42,7 +54,13 @@ from repro.service.clock import VirtualClock
 from repro.service.resilience import ResilientClient, RetryPolicy
 from repro.service.telemetry import Telemetry
 
-__all__ = ["CampaignJob", "CampaignScheduler", "build_campaign"]
+__all__ = [
+    "CampaignJob",
+    "CampaignScheduler",
+    "build_campaign",
+    "run_campaign",
+    "serial_executor",
+]
 
 
 @dataclass(frozen=True)
@@ -55,7 +73,7 @@ class CampaignJob:
     configuration: Configuration
 
     def key(self) -> tuple:
-        """Identity used for resume matching (mirrors ``sweep``'s skip set)."""
+        """Identity used for resume matching."""
         return (self.platform_name, self.dataset.name, self.configuration)
 
 
@@ -101,6 +119,77 @@ def _configurations_by_platform(platforms, configurations) -> dict:
     return {platform.name: shared for platform in platforms}
 
 
+def run_campaign(
+    platforms: Sequence,
+    datasets: Sequence[Dataset],
+    configurations,
+    execute,
+    telemetry: Telemetry,
+    resume_from: ResultStore | None = None,
+    checkpoint_path=None,
+    checkpoint_every: int = 200,
+) -> ResultStore:
+    """Run a campaign through ``execute``; returns results in serial order.
+
+    ``resume_from`` results matching a planned job fill that job's slot
+    without re-measuring; anything else in it is ignored.  ``execute``
+    receives the remaining jobs in serial order and yields batches of
+    ``(serial_index, result)``.  ``checkpoint_path`` is rewritten with
+    the completed slots every ``checkpoint_every`` new measurements, at
+    the end, and when ``execute`` raises (before the error propagates),
+    so an interrupted campaign resumes from a loadable
+    :class:`ResultStore`.
+    """
+    jobs = build_campaign(platforms, datasets, configurations)
+    slots: list = [None] * len(jobs)
+    resumable = _resume_index(resume_from, {p.name for p in platforms})
+    pending = []
+    for job in jobs:
+        previous = resumable.pop(job.key(), None)
+        if previous is None:
+            pending.append(job)
+        else:
+            slots[job.index] = previous
+    telemetry.increment("jobs_total", len(jobs))
+    telemetry.increment("jobs_resumed", len(jobs) - len(pending))
+
+    measured = 0
+    try:
+        with closing(execute(pending)) as batches:
+            for batch in batches:
+                before = measured
+                for index, result in batch:
+                    slots[index] = result
+                    measured += 1
+                if (checkpoint_path is not None
+                        and measured // checkpoint_every
+                        > before // checkpoint_every):
+                    _save_completed(slots, checkpoint_path)
+    except BaseException:
+        if checkpoint_path is not None:
+            _save_completed(slots, checkpoint_path)
+        raise
+
+    store = ResultStore(result for result in slots if result is not None)
+    telemetry.increment("jobs_failed", sum(1 for r in store if not r.ok))
+    if checkpoint_path is not None and pending:
+        store.save(checkpoint_path)
+    return store
+
+
+def serial_executor(runner: ExperimentRunner, platforms: Sequence):
+    """The executor that measures one job at a time on the calling thread."""
+    by_name = {platform.name: platform for platform in platforms}
+
+    def execute(jobs):
+        for job in jobs:
+            yield ((job.index, runner.run_one(
+                by_name[job.platform_name], job.dataset, job.configuration,
+            )),)
+
+    return execute
+
+
 class CampaignScheduler:
     """Run a measurement campaign on a thread pool, deterministically.
 
@@ -109,10 +198,6 @@ class CampaignScheduler:
     workers : int
         Worker-thread count.  ``workers=1`` degenerates to the serial
         order with the resilience/telemetry layer still active.
-    per_platform_cap : int
-        Maximum jobs in flight per platform (default 1: strict FIFO per
-        service, which also pins per-platform resource ids to the serial
-        sequence).
     retry_policy : RetryPolicy or None
         Backoff bounds shared by every platform client.
     clock : VirtualClock or WallClock or None
@@ -121,9 +206,6 @@ class CampaignScheduler:
         rate limiters use so waits roll their quota windows forward.
     telemetry : Telemetry or None
         Metrics sink (a fresh one by default; exposed as ``.telemetry``).
-    backpressure : int or None
-        Bound of the dispatch queue (default ``2 * workers``): the
-        dispatcher blocks rather than enqueueing the whole campaign.
     seed : int
         Root seed for the clients' deterministic backoff jitter.
     """
@@ -131,31 +213,18 @@ class CampaignScheduler:
     def __init__(
         self,
         workers: int = 4,
-        per_platform_cap: int = 1,
         retry_policy: RetryPolicy | None = None,
         clock=None,
         telemetry: Telemetry | None = None,
-        backpressure: int | None = None,
         seed: int = 0,
     ):
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
-        if per_platform_cap < 1:
-            raise ValidationError(
-                f"per_platform_cap must be >= 1, got {per_platform_cap}"
-            )
         self.workers = int(workers)
-        self.per_platform_cap = int(per_platform_cap)
         self.retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
         self.clock = clock if clock is not None else VirtualClock()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.backpressure = backpressure if backpressure is not None \
-            else 2 * self.workers
-        if self.backpressure < 1:
-            raise ValidationError(
-                f"backpressure must be >= 1, got {self.backpressure}"
-            )
         self.seed = seed
 
     def clients_for(self, platforms: Sequence) -> dict:
@@ -181,79 +250,39 @@ class CampaignScheduler:
         checkpoint_path=None,
         checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Execute the campaign; returns results in serial sweep order.
-
-        ``resume_from`` results matching a planned job fill that job's
-        slot without re-measuring (the scheduler's analogue of
-        ``sweep(resume_from=...)``); ``checkpoint_path`` is rewritten
-        every ``checkpoint_every`` new measurements and at the end, in
-        completed-slot order, so an interrupted campaign resumes from a
-        loadable :class:`ResultStore`.
-        """
+        """Execute the campaign on the pool; see :func:`run_campaign`."""
         platforms = list(platforms)
-        datasets = list(datasets)
-        jobs = build_campaign(platforms, datasets, configurations)
         clients = self.clients_for(platforms)
-        # Warm the split cache serially so worker threads only read it.
-        splits = {
-            dataset.name: runner.split(dataset) for dataset in datasets
-        }
-
-        slots: list = [None] * len(jobs)
-        resumable = _resume_index(resume_from, {p.name for p in platforms})
-        pending: dict[str, deque] = {p.name: deque() for p in platforms}
-        resumed = 0
-        for job in jobs:
-            previous = resumable.pop(job.key(), None)
-            if previous is not None:
-                slots[job.index] = previous
-                resumed += 1
-            else:
-                pending[job.platform_name].append(job)
-        remaining = len(jobs) - resumed
-        self.telemetry.increment("jobs_total", len(jobs))
-        self.telemetry.increment("jobs_resumed", resumed)
-
-        if remaining:
-            self._execute(runner, clients, splits, pending, slots,
-                          remaining, checkpoint_path, checkpoint_every)
-
-        results = [result for result in slots if result is not None]
-        self.telemetry.increment(
-            "jobs_failed", sum(1 for r in results if not r.ok)
+        store = run_campaign(
+            platforms, list(datasets), configurations,
+            lambda jobs: self._execute(runner, clients, jobs),
+            self.telemetry, resume_from, checkpoint_path, checkpoint_every,
         )
         if hasattr(self.clock, "total_slept"):
             self.telemetry.observe(
                 "backoff_virtual_seconds", self.clock.total_slept
             )
-        store = ResultStore(results)
-        if checkpoint_path is not None and remaining:
-            store.save(checkpoint_path)
         return store
 
     # -- worker pool -----------------------------------------------------
 
-    def _execute(self, runner, clients, splits, pending, slots,
-                 remaining, checkpoint_path, checkpoint_every) -> None:
-        """Dispatch every pending job round-robin and wait for the pool."""
-        tasks: queue.Queue = queue.Queue(maxsize=self.backpressure)
-        lock = threading.Lock()
-        completed_cv = threading.Condition(lock)
-        # Serializes checkpoint writers only; guards no worker-visible
-        # state, so every other thread keeps making progress while one
-        # writes.  (Checkpointing under ``completed_cv`` would stall the
-        # whole pool for the duration of the file write.)
-        checkpoint_lock = threading.Lock()
-        saved_count = [0]
+    def _execute(self, runner, clients, jobs):
+        """Dispatch ``jobs`` round-robin; yield completed batches."""
+        # Warm the split cache here so worker threads only read it.
+        splits = {job.dataset.name: runner.split(job.dataset) for job in jobs}
+        pending: dict[str, deque] = {name: deque() for name in clients}
+        for job in jobs:
+            pending[job.platform_name].append(job)
+        tasks: queue.Queue = queue.Queue(maxsize=2 * self.workers)
+        completed_cv = threading.Condition()
         in_flight = {name: 0 for name in pending}
+        completed: list = []
         errors: list = []
-        progress = {"new": 0}
 
         def worker() -> None:
             while True:
                 job = tasks.get()
                 if job is None:
-                    tasks.task_done()
                     return
                 error = None
                 try:
@@ -263,76 +292,74 @@ class CampaignScheduler:
                     )
                 except Exception as exc:  # re-raised by the dispatcher
                     error, result = exc, None
-                snapshot = None
                 with completed_cv:
                     if error is not None:
                         errors.append(error)
                     else:
-                        slots[job.index] = result
-                        progress["new"] += 1
-                        if (checkpoint_path is not None
-                                and progress["new"] % checkpoint_every == 0):
-                            snapshot = (progress["new"], list(slots))
+                        completed.append((job.index, result))
                     in_flight[job.platform_name] -= 1
                     completed_cv.notify_all()
-                if snapshot is not None:
-                    count, captured = snapshot
-                    with checkpoint_lock:
-                        # A slower writer with an older snapshot must not
-                        # clobber a newer checkpoint.
-                        if count > saved_count[0]:
-                            saved_count[0] = count
-                            _save_completed(captured, checkpoint_path)  # repro: disable=C205 -- checkpoint_lock serializes writers only; no worker-visible state waits on it
-                tasks.task_done()
 
+        def stop() -> None:
+            for _ in threads:
+                tasks.put(None)
+
+        to_dispatch = to_collect = len(jobs)
         threads = [
             threading.Thread(target=worker, daemon=True,
                              name=f"campaign-worker-{i}")
-            for i in range(min(self.workers, remaining))
+            for i in range(min(self.workers, to_dispatch))
         ]
+        # Workers stop as soon as the last job is dispatched, so an idle
+        # worker does not wait out the campaign's tail.  The stop/join
+        # must also run when dispatch raises (a KeyboardInterrupt in the
+        # pick loop, the consumer closing this generator): otherwise the
+        # worker threads block on the queue forever and the process
+        # leaks them.
         for thread in threads:
             thread.start()
-
-        # The sentinel/join shutdown must run even when dispatch raises
-        # (a KeyboardInterrupt in the pick loop, a checkpoint I/O error
-        # propagating through the condition wait): otherwise the worker
-        # threads block on the queue forever and the process leaks them.
         try:
             order = list(pending)
             cursor = 0
-            to_dispatch = remaining
-            while to_dispatch:
+            while to_collect and not errors:
+                job = None
                 with completed_cv:
-                    choice = self._pick(order, cursor, pending, in_flight,
-                                        self.per_platform_cap)
-                    while choice is None and not errors:
+                    choice = self._pick(order, cursor, pending, in_flight)
+                    while choice is None and not completed and not errors:
                         completed_cv.wait()
                         choice = self._pick(order, cursor, pending,
-                                            in_flight,
-                                            self.per_platform_cap)
-                    if errors:
-                        break
-                    name = order[choice]
-                    job = pending[name].popleft()
-                    in_flight[name] += 1
-                    cursor = (choice + 1) % len(order)
-                tasks.put(job)  # blocks when the bounded queue is full
-                to_dispatch -= 1
+                                            in_flight)
+                    if choice is not None and not errors:
+                        job = pending[order[choice]].popleft()
+                        in_flight[job.platform_name] += 1
+                        cursor = (choice + 1) % len(order)
+                    batch = completed[:]
+                    completed.clear()
+                if job is not None:
+                    tasks.put(job)  # blocks when the bounded queue is full
+                    to_dispatch -= 1
+                    if not to_dispatch:
+                        stop()
+                if batch:
+                    to_collect -= len(batch)
+                    yield batch
         finally:
-            for _ in threads:
-                tasks.put(None)
+            if to_dispatch:
+                stop()
             for thread in threads:
                 thread.join()
+        if completed:
+            yield completed
         if errors:
             raise errors[0]
 
     @staticmethod
-    def _pick(order, cursor, pending, in_flight, cap) -> int | None:
-        """Next platform index round-robin from ``cursor`` with capacity."""
+    def _pick(order, cursor, pending, in_flight) -> int | None:
+        """Next idle platform with pending jobs, round-robin from ``cursor``."""
         for offset in range(len(order)):
             position = (cursor + offset) % len(order)
             name = order[position]
-            if pending[name] and in_flight[name] < cap:
+            if pending[name] and not in_flight[name]:
                 return position
         return None
 
@@ -353,8 +380,9 @@ def _resume_index(resume_from, platform_names) -> dict:
 def _save_completed(slots, checkpoint_path) -> None:
     """Checkpoint the completed slots, in serial order.
 
-    :meth:`ResultStore.save` writes via ``*.tmp`` + ``os.replace``, so a
-    worker killed mid-write can never leave a truncated checkpoint.
+    :meth:`ResultStore.save` writes via ``*.tmp`` + ``os.replace``: a
+    kill at any instant leaves the previous complete checkpoint or this
+    one, never a truncated file.
     """
     ResultStore(
         result for result in slots if result is not None

@@ -1,15 +1,16 @@
-"""Process-sharded campaign engine: full-corpus grids past the GIL.
+"""Process executor: dataset shards of a campaign past the GIL.
 
-The thread-pooled :class:`~repro.service.scheduler.CampaignScheduler`
+The thread executor of :class:`~repro.service.scheduler.CampaignScheduler`
 overlaps *waiting* (request latency, rate-limit backoff) but cannot
 overlap *compute*: the paper's headline grid — every dataset × every
 platform × the per-platform configuration space (Table 3 / Fig. 4) — is
-CPU-bound training, and the GIL serializes it.  This module fans that
-grid out over a :class:`concurrent.futures.ProcessPoolExecutor` instead:
+CPU-bound training, and the GIL serializes it.  :class:`ShardedCampaign`
+runs the same campaign core over a
+:class:`concurrent.futures.ProcessPoolExecutor` instead:
 
-* the job table is partitioned into **dataset-keyed shards**
-  (:class:`~repro.service.dag.CampaignDAG`) — one dataset's arrays ship
-  across the pickling boundary once, not once per job;
+* the pending jobs are grouped into **dataset-keyed shards**
+  (:class:`~repro.service.dag.CampaignDAG`) — one dataset's arrays
+  ship across the pickling boundary once, not once per job;
 * each shard runs :func:`run_shard`, a **module-level** worker function
   taking one picklable :class:`ShardTask` (the boundary the race tool's
   C204 rule models: no closures, locks, or bound methods cross);
@@ -19,22 +20,16 @@ grid out over a :class:`concurrent.futures.ProcessPoolExecutor` instead:
   computed once per shard; the per-shard hit/miss stats come back with
   the results and merge in serial shard order
   (:func:`merge_cache_stats`);
-* results are stitched into **serial-index slots**
-  (:func:`stitch_results`), so the merged
-  :class:`~repro.core.results.ResultStore` is bit-for-bit identical to
-  the serial sweep regardless of process count or completion order.
+* each finished shard's ``(serial_index, result)`` pairs go back to the
+  core, which fills its slot table, checkpoints and resumes exactly as
+  for the other executors; :func:`stitch_results` is the same fill for
+  callers that run shards themselves.
 
-Determinism holds for the same reason as the thread scheduler's
-contract, one level deeper: every job's model seed is derived from
-(platform seed, training bytes, configuration) — never from process
-identity, shard order, or wall-clock — so only *ordering* needs pinning,
-and the slot table pins it.
-
-Interrupted campaigns resume from the engine's checkpoints: after each
-completed shard the completed slots are rewritten atomically (the
-``*.tmp`` + ``os.replace`` discipline of :meth:`ResultStore.save`), and
-a resumed run marks checkpointed jobs done in the DAG and re-runs only
-the remainder.
+Determinism holds for the same reason as for the thread executor, one
+level deeper: every job's model seed is derived from (platform seed,
+training bytes, configuration) — never from process identity, shard
+order, or wall-clock — so only *ordering* needs pinning, and the slot
+table pins it.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from repro.datasets.corpus import Dataset
 from repro.exceptions import ValidationError
 from repro.learn.cache import FitCache
 from repro.service.dag import CampaignDAG
-from repro.service.scheduler import _resume_index, build_campaign
+from repro.service.scheduler import run_campaign
 from repro.service.telemetry import Telemetry
 
 __all__ = [
@@ -217,34 +212,17 @@ class ShardedCampaign:
         pool (one worker), exercising the identical code path.
     telemetry : Telemetry or None
         Metrics sink (a fresh one by default; exposed as ``.telemetry``).
-    max_inflight_per_worker : int
-        Bound on queued-but-unfinished shard submissions per worker, so
-        a 119-dataset campaign does not serialize its whole corpus into
-        the executor's call queue up front.
     """
 
-    def __init__(
-        self,
-        processes: int = 4,
-        telemetry: Telemetry | None = None,
-        max_inflight_per_worker: int = 2,
-    ):
+    def __init__(self, processes: int = 4, telemetry: Telemetry | None = None):
         if processes < 1:
             raise ValidationError(
                 f"processes must be >= 1, got {processes}"
             )
-        if max_inflight_per_worker < 1:
-            raise ValidationError(
-                f"max_inflight_per_worker must be >= 1, "
-                f"got {max_inflight_per_worker}"
-            )
         self.processes = int(processes)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.max_inflight_per_worker = int(max_inflight_per_worker)
         #: Merged FitCache accounting of the most recent run.
         self.fit_cache_stats: dict = merge_cache_stats({})
-        #: The most recent run's DAG (state summary for inspection).
-        self.dag: CampaignDAG | None = None
 
     def run(
         self,
@@ -254,122 +232,65 @@ class ShardedCampaign:
         configurations,
         resume_from: ResultStore | None = None,
         checkpoint_path=None,
-        checkpoint_every: int = 1,
-        max_shards: int | None = None,
+        checkpoint_every: int = 200,
     ) -> ResultStore:
-        """Execute the campaign; returns results in serial sweep order.
-
-        ``resume_from`` fills matching slots without re-measuring (the
-        checkpoint is the persisted DAG state); ``checkpoint_path`` is
-        atomically rewritten every ``checkpoint_every`` completed shards
-        and at the end.  ``max_shards`` stops dispatch after that many
-        shards (serial shard order) — a budgeted run whose checkpoint a
-        later invocation resumes, and the unit tests' stand-in for a
-        mid-campaign kill.
-        """
+        """Execute the campaign in shards; see
+        :func:`~repro.service.scheduler.run_campaign`."""
         platforms = list(platforms)
-        datasets = list(datasets)
         specs = tuple(_platform_spec(platform) for platform in platforms)
-        jobs = build_campaign(platforms, datasets, configurations)
+        return run_campaign(
+            platforms, list(datasets), configurations,
+            lambda jobs: self._execute(runner, specs, jobs),
+            self.telemetry, resume_from, checkpoint_path, checkpoint_every,
+        )
+
+    # -- process pool ------------------------------------------------------
+
+    def _execute(self, runner, specs, jobs):
+        """Fan the jobs' dataset shards over the pool; yield each as it
+        lands.  After a shard fails, no further shard is submitted; the
+        ones in flight still land before the error is re-raised."""
         dag = CampaignDAG.from_jobs(jobs)
-        self.dag = dag
-        datasets_by_name = {dataset.name: dataset for dataset in datasets}
-
-        slots: list = [None] * len(jobs)
-        resumable = _resume_index(resume_from, {p.name for p in platforms})
-        recovered = []
-        for job in jobs:
-            previous = resumable.pop(job.key(), None)
-            if previous is not None:
-                slots[job.index] = previous
-                recovered.append(job.index)
-        resumed = dag.apply_resume(recovered)
-        self.telemetry.increment("jobs_total", len(jobs))
-        self.telemetry.increment("jobs_resumed", resumed)
         self.telemetry.increment("shards_total", len(dag.shards))
-
-        tasks = [
+        if not dag.shards:
+            return
+        by_index = {job.index: job for job in jobs}
+        queue = [
             ShardTask(
                 shard_id=shard.shard_id,
-                dataset=datasets_by_name[shard.dataset],
+                dataset=by_index[shard.job_indices[0]].dataset,
                 entries=tuple(
-                    (index, jobs[index].platform_name,
-                     jobs[index].configuration)
+                    (index, by_index[index].platform_name,
+                     by_index[index].configuration)
                     for index in dag.pending_jobs(shard.shard_id)
                 ),
                 platforms=specs,
                 test_size=runner.test_size,
                 split_seed=runner.split_seed,
             )
-            for shard in dag.pending_shards()
-        ]
-        if max_shards is not None:
-            tasks = tasks[:max(0, max_shards)]
-
-        errors: list = []
-        if tasks:
-            self._execute(tasks, dag, slots, checkpoint_path,
-                          checkpoint_every, errors)
-
-        self.telemetry.increment(
-            "jobs_failed",
-            sum(1 for r in slots if r is not None and not r.ok),
-        )
-        store = ResultStore(result for result in slots if result is not None)
-        if checkpoint_path is not None and tasks:
-            store.save(checkpoint_path)
-        if errors:
-            raise errors[0]
-        return store
-
-    # -- process pool ------------------------------------------------------
-
-    def _execute(self, tasks, dag, slots, checkpoint_path,
-                 checkpoint_every, errors) -> None:
-        """Fan shards out over the pool; stitch and checkpoint as they land."""
-        max_workers = max(1, min(self.processes, len(tasks)))
-        inflight_cap = max_workers * self.max_inflight_per_worker
+            for shard in reversed(dag.pending_shards())
+        ]  # pop() dispatches in serial order
+        max_workers = min(self.processes, len(queue))
         cache_stats: dict[int, dict] = {}
-        queue = list(reversed(tasks))   # pop() dispatches in serial order
-        completed = 0
+        errors: list = []
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures: dict = {}
-            while queue or futures:
-                while queue and len(futures) < inflight_cap:
-                    task = queue.pop()
-                    dag.mark_shard_running(task.shard_id)
-                    futures[pool.submit(run_shard, task)] = task.shard_id
-                finished, _ = wait(futures, return_when=FIRST_COMPLETED)
+            futures: set = set()
+            while futures or (queue and not errors):
+                while queue and not errors and len(futures) < 2 * max_workers:
+                    futures.add(pool.submit(run_shard, queue.pop()))
+                finished, futures = wait(futures, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    shard_id = futures.pop(future)
                     error = future.exception()
                     if error is not None:
-                        dag.mark_shard_failed(shard_id)
                         self.telemetry.increment("shards_failed")
                         errors.append(error)
                         continue
                     shard_result = future.result()
-                    stitch_results(slots, [shard_result])
-                    for index, _ in shard_result.results:
-                        dag.mark_job_done(index)
-                    cache_stats[shard_id] = shard_result.cache_stats
+                    cache_stats[shard_result.shard_id] = shard_result.cache_stats
                     self.telemetry.increment("shards_done")
-                    completed += 1
-                    if (checkpoint_path is not None
-                            and completed % checkpoint_every == 0):
-                        _checkpoint_completed(slots, checkpoint_path)
+                    yield shard_result.results
         self.fit_cache_stats = merge_cache_stats(cache_stats)
         for key, value in sorted(self.fit_cache_stats.items()):
             self.telemetry.increment(f"fit_cache_{key}", value)
-
-
-def _checkpoint_completed(slots, checkpoint_path) -> None:
-    """Atomically checkpoint the completed slots, in serial order.
-
-    :meth:`ResultStore.save` writes via ``*.tmp`` + ``os.replace``: a
-    kill at any instant leaves the previous complete checkpoint or this
-    one, never a truncated file.
-    """
-    ResultStore(
-        result for result in slots if result is not None
-    ).save(checkpoint_path)
+        if errors:
+            raise errors[0]

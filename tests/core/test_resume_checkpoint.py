@@ -128,3 +128,29 @@ def test_interrupted_sweep_resumes_to_identical_store(
     # The final checkpoint also round-trips to the identical store.
     assert [r.to_dict() for r in ResultStore.load(path)] == \
            [r.to_dict() for r in uninterrupted]
+
+
+def test_resume_from_checkpoint_with_gaps_matches_uninterrupted(
+        dataset, configurations):
+    """A checkpoint with gaps — what a thread campaign writes — resumes
+    to the uninterrupted store record for record, in serial order, and
+    only planned measurements come back."""
+    platform = Amazon(random_state=0)
+    uninterrupted = ExperimentRunner(split_seed=0).sweep(
+        platform, [dataset], configurations,
+    )
+    records = list(uninterrupted)
+    gapped = ResultStore([records[0], records[2]])
+
+    resumed = ExperimentRunner(split_seed=0).sweep(
+        Amazon(random_state=0), [dataset], configurations,
+        resume_from=gapped,
+    )
+    assert [r.to_dict() for r in resumed] == \
+           [r.to_dict() for r in uninterrupted]
+
+    planned_only = ExperimentRunner(split_seed=0).sweep(
+        Amazon(random_state=0), [dataset], configurations[:1],
+        resume_from=uninterrupted,
+    )
+    assert [r.to_dict() for r in planned_only] == [records[0].to_dict()]

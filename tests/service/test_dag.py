@@ -1,4 +1,4 @@
-"""Tests for the resumable campaign DAG's grouping and state machine."""
+"""Tests for the campaign DAG's dataset grouping."""
 
 import pytest
 
@@ -6,8 +6,7 @@ from repro.datasets import load_corpus
 from repro.exceptions import ValidationError
 from repro.platforms import Amazon, Google
 from repro.core.config_space import baseline_configuration
-from repro.service import CampaignDAG, JobStatus, ShardNode, build_campaign
-from repro.service.dag import JobStatus as DagJobStatus
+from repro.service import CampaignDAG, ShardNode, build_campaign
 
 
 @pytest.fixture(scope="module")
@@ -17,16 +16,16 @@ def corpus():
 
 
 @pytest.fixture()
-def dag(corpus):
+def jobs(corpus):
     platforms = [Google(random_state=0), Amazon(random_state=0)]
-    jobs = build_campaign(
+    return build_campaign(
         platforms, corpus,
         {p.name: [baseline_configuration(p)] for p in platforms},
     )
-    return CampaignDAG.from_jobs(jobs)
 
 
-def test_from_jobs_groups_by_dataset_in_serial_order(dag, corpus):
+def test_from_jobs_groups_by_dataset_in_serial_order(jobs, corpus):
+    dag = CampaignDAG.from_jobs(jobs)
     assert [shard.dataset for shard in dag.shards] \
         == [dataset.name for dataset in corpus]
     assert [shard.shard_id for shard in dag.shards] == [0, 1, 2]
@@ -37,66 +36,27 @@ def test_from_jobs_groups_by_dataset_in_serial_order(dag, corpus):
         index for shard in dag.shards for index in shard.job_indices
     )
     assert covered == list(range(6))
+    assert dag.pending_shards() == dag.shards
+    assert dag.pending_jobs(0) == [0, 3]
+
+
+def test_from_jobs_partitions_a_pending_subset(jobs):
+    # The core hands an executor only the jobs a resume left pending:
+    # here the first dataset is done for both platforms (indices 0 and
+    # 3, the serial enumeration being platform-major) and amazon is
+    # done on the second dataset (index 4).
+    pending = [job for job in jobs if job.index not in (0, 3, 4)]
+    dag = CampaignDAG.from_jobs(pending)
+    assert [shard.dataset for shard in dag.pending_shards()] \
+        == [jobs[1].dataset.name, jobs[2].dataset.name]
+    assert [dag.pending_jobs(shard.shard_id) for shard in dag.shards] \
+        == [[1], [2, 5]]
 
 
 def test_constructor_rejects_non_partition():
-    shards = [ShardNode(shard_id=0, dataset="a", job_indices=(0, 1))]
-    with pytest.raises(ValidationError, match="partition"):
-        CampaignDAG(shards, n_jobs=3)
     overlapping = [
         ShardNode(shard_id=0, dataset="a", job_indices=(0, 1)),
         ShardNode(shard_id=1, dataset="b", job_indices=(1, 2)),
     ]
     with pytest.raises(ValidationError, match="partition"):
-        CampaignDAG(overlapping, n_jobs=3)
-
-
-def test_job_and_shard_state_transitions(dag):
-    shard = dag.shards[0]
-    assert dag.shard_status(shard.shard_id) is JobStatus.PENDING
-    dag.mark_shard_running(shard.shard_id)
-    assert dag.shard_status(shard.shard_id) is JobStatus.RUNNING
-    assert all(dag.job_status(i) is JobStatus.RUNNING
-               for i in shard.job_indices)
-    for index in shard.job_indices:
-        dag.mark_job_done(index)
-    assert dag.shard_status(shard.shard_id) is JobStatus.DONE
-    assert not dag.merge_ready()   # other shards still pending
-    assert shard not in dag.pending_shards()
-
-
-def test_failed_shard_wins_and_spares_done_jobs(dag):
-    shard = dag.shards[1]
-    done, open_job = shard.job_indices
-    dag.mark_job_done(done)
-    dag.mark_shard_failed(shard.shard_id)
-    assert dag.shard_status(shard.shard_id) is JobStatus.FAILED
-    assert dag.job_status(done) is JobStatus.DONE
-    assert dag.job_status(open_job) is JobStatus.FAILED
-    assert dag.summary()["shards"]["failed"] == 1
-
-
-def test_apply_resume_marks_only_new_indices(dag):
-    # Shard 0 (the first dataset) holds one job per platform: the serial
-    # enumeration is platform-major, so its indices are 0 and 3.
-    assert dag.shards[0].job_indices == (0, 3)
-    assert dag.apply_resume([0, 3]) == 2
-    assert dag.apply_resume([0, 3, 1]) == 1   # 0 and 3 already done
-    assert dag.pending_jobs(0) == []
-    assert [shard.shard_id for shard in dag.pending_shards()] == [1, 2]
-
-
-def test_merge_ready_after_all_jobs_done(dag):
-    for shard in dag.shards:
-        for index in shard.job_indices:
-            dag.mark_job_done(index)
-    assert dag.merge_ready()
-    assert dag.summary() == {
-        "shards": {"done": 3},
-        "jobs": {"done": 6},
-    }
-
-
-def test_status_enum_is_json_friendly():
-    assert DagJobStatus.DONE.value == "done"
-    assert isinstance(JobStatus.PENDING, str)
+        CampaignDAG(overlapping)

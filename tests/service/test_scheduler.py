@@ -2,6 +2,8 @@
 
 import pytest
 
+import threading
+
 from repro.core import Configuration, ExperimentRunner, MLaaSStudy, StudyScale
 from repro.core.config_space import baseline_configuration
 from repro.core.results import ResultStore
@@ -11,9 +13,39 @@ from repro.platforms import ALL_PLATFORMS, Amazon, BigML, Google
 from repro.service import (
     CampaignScheduler,
     RetryPolicy,
+    ShardedCampaign,
+    Telemetry,
     VirtualClock,
     build_campaign,
 )
+from repro.service.scheduler import run_campaign, serial_executor
+
+#: The second dataset of the ``corpus`` fixture, where CrashingGoogle dies.
+CRASH_DATASET = "life_science/life_31"
+
+
+class CrashingGoogle(Google):
+    """Module-level (hence picklable) platform that dies on one dataset."""
+
+    def upload_dataset(self, X, y, name="dataset"):
+        if name == CRASH_DATASET:
+            raise RuntimeError(f"crash on {name}")
+        return super().upload_dataset(X, y, name=name)
+
+
+class CountingRunner(ExperimentRunner):
+    """Counts the measurements that returned a result."""
+
+    def __init__(self):
+        super().__init__(split_seed=7)
+        self.completed = 0
+        self._lock = threading.Lock()
+
+    def run_one(self, *args, **kwargs):
+        result = super().run_one(*args, **kwargs)
+        with self._lock:
+            self.completed += 1
+        return result
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +104,6 @@ def test_campaign_matches_serial_sweep_bit_for_bit(corpus):
         assert snapshot["counters"]["jobs_failed"] == sum(
             1 for r in serial if not r.ok
         )
-
-
-def test_campaign_equality_with_higher_platform_cap(corpus):
-    serial = _serial_baseline([Amazon, BigML], corpus)
-    concurrent, _ = _campaign_baseline(
-        [Amazon, BigML], corpus, workers=4, per_platform_cap=2,
-    )
-    assert list(concurrent) == list(serial)
 
 
 def test_campaign_multi_config_sweep_matches_serial(corpus):
@@ -162,9 +186,7 @@ def test_dispatch_crash_still_joins_every_worker(corpus, monkeypatch):
     # Regression: a failure in the dispatch loop itself (not in a
     # worker) must still send the queue sentinels and join the worker
     # threads, or each crashed campaign leaks its whole pool.
-    import threading
-
-    def exploding_pick(order, cursor, pending, in_flight, cap):
+    def exploding_pick(*args):
         raise RuntimeError("boom: dispatcher failure")
 
     monkeypatch.setattr(CampaignScheduler, "_pick",
@@ -184,13 +206,68 @@ def test_dispatch_crash_still_joins_every_worker(corpus, monkeypatch):
         "campaign worker thread(s) leaked after a dispatcher crash"
 
 
+def _run_on(executor, platforms, corpus, runner, telemetry, **kwargs):
+    """One baseline campaign on the named executor."""
+    configurations = {p.name: [baseline_configuration(p)] for p in platforms}
+    if executor == "serial":
+        return run_campaign(
+            platforms, corpus, configurations,
+            serial_executor(runner, platforms), telemetry, **kwargs,
+        )
+    engine = (
+        CampaignScheduler(workers=2, seed=0, telemetry=telemetry)
+        if executor == "threads"
+        else ShardedCampaign(processes=2, telemetry=telemetry)
+    )
+    return engine.run(runner, platforms, corpus, configurations, **kwargs)
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+def test_crash_then_resume_matches_uninterrupted_serial(
+        tmp_path, corpus, executor):
+    uninterrupted_path = tmp_path / "uninterrupted.json"
+    uninterrupted = _run_on(
+        "serial", [Google(random_state=0), Amazon(random_state=0)], corpus,
+        ExperimentRunner(split_seed=7), Telemetry(),
+        checkpoint_path=uninterrupted_path,
+    )
+
+    # A periodic checkpoint never fires here: what the crashed run
+    # leaves behind is the core's on-error checkpoint.
+    checkpoint = tmp_path / "campaign.json"
+    runner, telemetry = CountingRunner(), Telemetry()
+    with pytest.raises(RuntimeError, match="crash on"):
+        _run_on(executor, [CrashingGoogle(random_state=0),
+                           Amazon(random_state=0)], corpus, runner, telemetry,
+                checkpoint_path=checkpoint, checkpoint_every=10_000)
+    if executor == "processes":
+        # Shard workers run their own runner; a shard holds one job
+        # per platform.
+        completed = 2 * telemetry.counter_value("shards_done")
+    else:
+        completed = runner.completed
+    partial = ResultStore.load(checkpoint)
+    assert len(partial) == completed > 0
+    kept = {(r.platform, r.dataset) for r in partial}
+    assert [r.to_dict() for r in partial] == [
+        r.to_dict() for r in uninterrupted if (r.platform, r.dataset) in kept
+    ]
+
+    telemetry = Telemetry()
+    resumed = _run_on(
+        executor, [Google(random_state=0), Amazon(random_state=0)], corpus,
+        ExperimentRunner(split_seed=7), telemetry, resume_from=partial,
+        checkpoint_path=checkpoint,
+    )
+    assert [r.to_dict() for r in resumed] == \
+           [r.to_dict() for r in uninterrupted]
+    assert telemetry.counter_value("jobs_resumed") == completed
+    assert checkpoint.read_bytes() == uninterrupted_path.read_bytes()
+
+
 def test_scheduler_validates_parameters():
     with pytest.raises(ValidationError):
         CampaignScheduler(workers=0)
-    with pytest.raises(ValidationError):
-        CampaignScheduler(per_platform_cap=0)
-    with pytest.raises(ValidationError):
-        CampaignScheduler(backpressure=0)
 
 
 def test_study_workers_produce_identical_stores():

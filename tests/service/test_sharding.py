@@ -68,7 +68,8 @@ def test_process_campaign_matches_serial_bit_for_bit(tmp_path, corpus):
         assert counters["jobs_total"] == len(serial)
         assert counters["shards_done"] == counters["shards_total"] \
             == len(corpus)
-        assert engine.dag.merge_ready()
+        assert counters["jobs_resumed"] == 0
+        assert "shards_failed" not in counters
     # Checkpoint files are byte-identical too: the saved JSON is the
     # serialized contract, not just the in-memory equality.
     serial_path, sharded_path = tmp_path / "serial.json", tmp_path / "s.json"
@@ -97,31 +98,6 @@ def test_shard_cache_is_shared_across_candidates(corpus):
     assert counters["fit_cache_hits"] == stats["hits"]
 
 
-def test_kill_then_resume_matches_uninterrupted_serial(tmp_path, corpus):
-    serial = _serial_baseline(ALL_PLATFORMS, corpus)
-    checkpoint = tmp_path / "campaign.json"
-    partial, first = _sharded_baseline(
-        ALL_PLATFORMS, corpus, processes=2,
-        checkpoint_path=checkpoint, max_shards=1,
-    )
-    # The budgeted run completed exactly one dataset shard and left a
-    # loadable checkpoint behind (the kill stand-in).
-    assert len(list(partial)) == len(ALL_PLATFORMS)
-    assert first.dag.summary()["shards"]["done"] == 1
-    recovered = ResultStore.load(checkpoint)
-    assert list(recovered) == list(partial)
-
-    resumed, second = _sharded_baseline(
-        ALL_PLATFORMS, corpus, processes=2,
-        checkpoint_path=checkpoint, resume_from=recovered,
-    )
-    assert list(resumed) == list(serial)
-    counters = second.telemetry.snapshot()["counters"]
-    assert counters["jobs_resumed"] == len(ALL_PLATFORMS)
-    assert counters["shards_done"] == len(corpus) - 1
-    assert list(ResultStore.load(checkpoint)) == list(serial)
-
-
 def test_stitch_results_is_completion_order_independent():
     shard_results = [
         ShardResult(shard_id=i, dataset=f"d{i}",
@@ -148,8 +124,6 @@ def test_worker_exceptions_propagate_and_fail_the_shard(corpus):
 def test_engine_validates_parameters(corpus):
     with pytest.raises(ValidationError, match="processes"):
         ShardedCampaign(processes=0)
-    with pytest.raises(ValidationError, match="max_inflight"):
-        ShardedCampaign(max_inflight_per_worker=0)
 
     class LocalOnly(Google):
         pass

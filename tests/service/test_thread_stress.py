@@ -4,9 +4,10 @@ One lucky pass proves little for concurrent code: races surface on
 specific interleavings.  This test hammers the same small campaign
 through :class:`CampaignScheduler` with several workers *many times*
 under a fixed seed and asserts every run is bit-identical to the
-serial sweep — exercising the slot table, the per-platform caps, the
-condition-variable handoff, and the off-lock checkpoint writes under
-genuinely different thread schedules each iteration.
+serial sweep — exercising the slot table, the one-job-per-platform cap,
+the bounded dispatch queue, the condition-variable handoff, and the
+checkpoint writes on the collecting thread under genuinely different
+thread schedules each iteration.
 """
 
 import pytest
@@ -40,9 +41,9 @@ def serial(corpus):
     return list(store)
 
 
-def _run_campaign(corpus, workers, **kwargs):
+def _run_campaign(corpus, workers):
     platforms = [cls(random_state=0) for cls in PLATFORM_CLASSES]
-    scheduler = CampaignScheduler(workers=workers, seed=0, **kwargs)
+    scheduler = CampaignScheduler(workers=workers, seed=0)
     store = scheduler.run(
         ExperimentRunner(split_seed=7), platforms, corpus,
         {p.name: [baseline_configuration(p)] for p in platforms},
@@ -57,10 +58,12 @@ def test_repeated_concurrent_campaigns_stay_bit_identical(corpus, serial):
 
 
 def test_stress_with_platform_cap_and_tight_backpressure(corpus, serial):
+    # The per-platform cap is the constant 1 and the dispatch queue holds
+    # 2 * workers jobs: with 2 workers over 3 platforms the cap, not the
+    # worker count, bounds dispatch, and the queue is at its tightest
+    # for a concurrent pool.
     for iteration in range(STRESS_ITERATIONS // 2):
-        results = _run_campaign(
-            corpus, workers=4, per_platform_cap=2, backpressure=2,
-        )
+        results = _run_campaign(corpus, workers=2)
         assert results == serial, f"diverged on iteration {iteration}"
 
 

@@ -56,4 +56,3 @@ def test_the_analyzer_still_sees_the_concurrent_code():
     result = race_paths([SOURCE_ROOT])
     suppressed_codes = {v.code for v in result.suppressed}
     assert "C203" in suppressed_codes  # telemetry private helpers
-    assert "C205" in suppressed_codes  # checkpoint write lock
