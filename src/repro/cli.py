@@ -82,20 +82,7 @@ from repro.tools.exitcodes import (
     EXIT_USAGE,
     run_guarded,
 )
-from repro.tools.flow.cli import configure_parser as _configure_flow_parser
-from repro.tools.flow.cli import run_flow_command
-from repro.tools.lint.cli import configure_parser as _configure_lint_parser
-from repro.tools.lint.cli import run_lint_command
-from repro.tools.perf.cli import configure_parser as _configure_perf_parser
-from repro.tools.perf.cli import run_perf_command
-from repro.tools.race.cli import configure_parser as _configure_race_parser
-from repro.tools.race.cli import run_race_command
-from repro.tools.check.cli import configure_parser as _configure_check_parser
-from repro.tools.check.cli import run_check_command
-from repro.tools.shape.cli import configure_parser as _configure_shape_parser
-from repro.tools.shape.cli import run_shape_command
-from repro.tools.wire.cli import configure_parser as _configure_wire_parser
-from repro.tools.wire.cli import run_wire_command
+from repro.tools.driver import add_subcommands
 
 __all__ = ["main", "build_parser"]
 
@@ -210,41 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-run the schedule serially and verify "
                               "the payload digests match")
 
-    lint = sub.add_parser(
-        "lint", help="check the source against the reproduction invariants"
-    )
-    _configure_lint_parser(lint)
-
-    flow = sub.add_parser(
-        "flow", help="project-wide data-flow & architecture analysis"
-    )
-    _configure_flow_parser(flow)
-
-    race = sub.add_parser(
-        "race", help="static concurrency & shared-state analysis"
-    )
-    _configure_race_parser(race)
-
-    perf = sub.add_parser(
-        "perf", help="static complexity & hot-path analysis"
-    )
-    _configure_perf_parser(perf)
-
-    shape = sub.add_parser(
-        "shape", help="static array shape, dtype & aliasing analysis"
-    )
-    _configure_shape_parser(shape)
-
-    wire = sub.add_parser(
-        "wire", help="static wire-contract, error-taxonomy & "
-                     "resource-lifecycle analysis"
-    )
-    _configure_wire_parser(wire)
-
-    check = sub.add_parser(
-        "check", help="run all six static analyzers over one shared parse"
-    )
-    _configure_check_parser(check)
+    add_subcommands(sub)  # lint, flow, race, perf, shape, wire, check
     return parser
 
 
@@ -521,20 +474,8 @@ def main(argv=None, out=None) -> int:
         return run_guarded(_cmd_serve, args, out=out)
     if args.command == "loadgen":
         return run_guarded(_cmd_loadgen, args, out=out)
-    if args.command == "lint":
-        return run_guarded(run_lint_command, args, out=out)
-    if args.command == "flow":
-        return run_guarded(run_flow_command, args, out=out)
-    if args.command == "race":
-        return run_guarded(run_race_command, args, out=out)
-    if args.command == "perf":
-        return run_guarded(run_perf_command, args, out=out)
-    if args.command == "shape":
-        return run_guarded(run_shape_command, args, out=out)
-    if args.command == "wire":
-        return run_guarded(run_wire_command, args, out=out)
-    if args.command == "check":
-        return run_guarded(run_check_command, args, out=out)
+    if getattr(args, "tool_command", None) is not None:
+        return run_guarded(args.tool_command, args, out=out)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

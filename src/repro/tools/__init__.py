@@ -19,6 +19,24 @@
     quadratic growth, invariant calls, uncached refits, complexity-spec
     conformance, hot-loop allocations.
 
+``repro.tools.shape``
+    Static array shape, dtype & aliasing analyzer (``repro shape``):
+    shape algebra, dtype stability, alias mutation, substrate access,
+    array-contract conformance, boundary validation.
+
+``repro.tools.wire``
+    Static wire-contract, error-taxonomy & resource-lifecycle analyzer
+    (``repro wire``): route conformance, taxonomy completeness,
+    lifecycles, encode safety, blocking handlers, metrics drift.
+
+``repro.tools.check``
+    All six analyzers in one process over one shared parse
+    (``repro check``), with a merged report and the worst exit code.
+
+``repro.tools.driver``
+    The registry of the six analyzers and the one driver they share:
+    the rule run, the command line, the suppression vocabulary.
+
 ``repro.tools.indexing``
     Memoized project loading shared by the analyzers, so one process
     running several tools parses and indexes the tree exactly once.

@@ -15,39 +15,31 @@ import json
 import sys
 from pathlib import Path
 
-from repro.tools.exitcodes import EXIT_CRASH, EXIT_USAGE, run_guarded
-from repro.tools.lint.reporters import REPORTERS, render_json, render_text
+from repro.tools import driver
+from repro.tools.check.runner import TOOL_NAMES, run_check
+from repro.tools.exitcodes import EXIT_CRASH, run_guarded
+from repro.tools.lint.reporters import render_json, render_text
 
 __all__ = [
-    "DEFAULT_TARGET",
+    "DESCRIPTION",
     "build_parser",
     "configure_parser",
     "main",
     "run_check_command",
 ]
 
-#: Default analysis target: the package's own source tree.
-DEFAULT_TARGET = Path(__file__).resolve().parents[2]
+#: The subcommand help and the standalone parser description.
+DESCRIPTION = "run all six static analyzers over one shared parse"
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Attach the check arguments to ``parser`` (shared with ``repro.cli``)."""
-    parser.add_argument(
-        "paths", nargs="*", type=Path,
-        help="files or directories to analyze (default: the repro package)",
-    )
-    parser.add_argument(
-        "--format", choices=sorted(REPORTERS), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--show-suppressed", action="store_true",
-        help="include justified suppressions in the report",
-    )
+    driver.configure_parser(parser)
+    parser.set_defaults(tool_command=run_check_command)
     parser.add_argument(
         "--tools", metavar="NAMES",
         help="comma-separated subset of analyzers to run "
-             "(default: lint,flow,race,perf,shape,wire)",
+             f"(default: {','.join(TOOL_NAMES)})",
     )
     parser.add_argument(
         "--artifacts-dir", type=Path, metavar="DIR",
@@ -59,12 +51,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the standalone parser for ``python -m repro.tools.check``."""
-    parser = argparse.ArgumentParser(
-        prog="repro check",
-        description="run all six static analyzers over one shared "
-                    "parse with a merged report and worst-exit-code "
-                    "semantics",
-    )
+    parser = argparse.ArgumentParser(prog="repro check",
+                                     description=DESCRIPTION)
     return configure_parser(parser)
 
 
@@ -134,30 +122,25 @@ def _write_artifacts(report, directory: Path, show_suppressed: bool,
 def run_check_command(args: argparse.Namespace, out=None) -> int:
     """Execute a parsed check invocation; returns the exit code."""
     out = out or sys.stdout
-    paths = args.paths or [DEFAULT_TARGET]
-    for path in paths:
-        if not Path(path).exists():
-            print(f"error: no such file or directory: {path}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    from repro.tools.check.runner import TOOL_NAMES, run_check
-
+    paths = args.paths or [driver.DEFAULT_TARGET]
+    if (missing := driver.missing_path(paths)) is not None:
+        return driver.usage_error(f"no such file or directory: {missing}")
     tools = None
-    if args.tools:
+    if args.tools is not None:
         tools = [name.strip() for name in args.tools.split(",")
                  if name.strip()]
+        choices = f"(choose from {', '.join(TOOL_NAMES)})"
+        if not tools:
+            # An empty selection would run nothing and pass vacuously.
+            return driver.usage_error(f"--tools names no analyzer {choices}")
         unknown = sorted(set(tools) - set(TOOL_NAMES))
         if unknown:
-            print(f"error: unknown analyzer(s): {', '.join(unknown)} "
-                  f"(choose from {', '.join(TOOL_NAMES)})",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            return driver.usage_error(
+                f"unknown analyzer(s): {', '.join(unknown)} {choices}")
 
     report = run_check(paths, root=Path.cwd(), tools=tools)
     if report.n_files == 0:
-        print("error: no python files found under the given paths",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return driver.usage_error(driver.NO_FILES)
     if args.artifacts_dir is not None:
         _write_artifacts(report, args.artifacts_dir,
                          args.show_suppressed, out)

@@ -20,22 +20,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import repro.tools.lint.rules  # noqa: F401  (fills RULE_REGISTRY)
+from repro.tools.driver import ANALYZERS
 from repro.tools.exitcodes import EXIT_CRASH
-from repro.tools.flow.runner import detect_context_paths, run_flow
-from repro.tools.indexing import load_indexed_project
-from repro.tools.lint.engine import (
-    ENGINE_CODE,
-    RULE_REGISTRY,
-    LintResult,
-    Violation,
-    apply_suppressions,
-    suppression_violations,
-)
-from repro.tools.perf.runner import run_perf
-from repro.tools.race.runner import run_race
-from repro.tools.shape.runner import run_shape
-from repro.tools.wire.runner import run_wire
+from repro.tools.flow import run_flow
+from repro.tools.indexing import detect_context_paths, load_indexed_project
+from repro.tools.lint.engine import LintResult, run_rules
+from repro.tools.lint.rules import default_rules
+from repro.tools.perf import run_perf
+from repro.tools.race import run_race
+from repro.tools.shape import run_shape
+from repro.tools.wire import run_wire
 
 __all__ = [
     "CheckReport",
@@ -43,9 +37,8 @@ __all__ = [
     "run_check",
 ]
 
-#: The six analyzers, in suite order (lint first: its R-codes anchor
-#: the suppression vocabulary the others extend).
-TOOL_NAMES = ("lint", "flow", "race", "perf", "shape", "wire")
+#: The six registered analyzers, in suite order.
+TOOL_NAMES = tuple(ANALYZERS)
 
 
 @dataclass
@@ -70,27 +63,9 @@ class CheckReport:
 
 
 def _run_lint_shared(loaded) -> LintResult:
-    """The lint pass over the already-parsed shared project.
-
-    Replicates :func:`repro.tools.lint.engine.run_lint` verbatim —
-    same rules, same known codes, same suppression handling — but over
-    the memoized :class:`IndexedProject` instead of a private parse,
-    which is the whole point of ``repro check``.
-    """
-    rules = [cls() for _, cls in sorted(RULE_REGISTRY.items())]
-    known_codes = {rule.code for rule in rules} | {ENGINE_CODE}
-    project = loaded.project
-    violations: list[Violation] = list(loaded.parse_violations)
-    for module in project.modules:
-        violations.extend(suppression_violations(module, known_codes))
-        for rule in rules:
-            violations.extend(rule.check_module(module, project))
-    for rule in rules:
-        violations.extend(rule.check_project(project))
-    modules_by_path = {m.relpath: m for m in project.modules}
-    violations = apply_suppressions(violations, modules_by_path)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return LintResult(violations=violations, n_files=loaded.n_files)
+    """The lint pass over the already-parsed shared project."""
+    return run_rules(default_rules(), loaded.project,
+                     loaded.parse_violations, loaded.n_files)
 
 
 def run_check(
@@ -102,8 +77,9 @@ def run_check(
     """Run every analyzer over ``paths`` sharing one parsed index.
 
     ``tools`` restricts the run to a subset of :data:`TOOL_NAMES`
-    (order is normalized to suite order).  The shared index is loaded
-    first, so even the first tool's run is a cache hit.
+    (order is normalized to suite order).  The shared project is loaded
+    first, so every tool's run is a cache hit.  Each tool is called
+    through this module's globals, so a tracer can wrap them.
     """
     if context_paths is None:
         context_paths = detect_context_paths(paths)

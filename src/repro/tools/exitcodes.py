@@ -1,9 +1,10 @@
 """Shared exit-code taxonomy for the analyzer command lines.
 
-All five static-analysis front ends (``repro lint``, ``repro flow``,
-``repro race``, ``repro perf``, ``repro shape``) report outcomes with
-the same four exit codes, so CI scripts and the dogfood gates can
-interpret any of them without per-tool special cases:
+The six static-analysis front ends (``repro lint``, ``flow``, ``race``,
+``perf``, ``shape``, ``wire``), ``repro check``, and the serving and
+campaign commands report outcomes with the same four exit codes, so CI
+scripts and the dogfood gates can interpret any of them without
+per-tool special cases:
 
 * :data:`EXIT_CLEAN` (0) — the run completed and found nothing
   unsuppressed (or performed a maintenance action such as

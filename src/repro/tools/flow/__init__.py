@@ -41,7 +41,7 @@ from typing import Sequence
 from repro.tools.flow.graph import FlowIndex, build_index
 from repro.tools.flow.layers_spec import LAYERS, Layer, layer_of
 from repro.tools.flow.rules import default_flow_rules
-from repro.tools.flow.runner import build_flow_index, run_flow
+from repro.tools.indexing import build_flow_index
 from repro.tools.lint.engine import LintResult
 
 __all__ = [
@@ -58,6 +58,23 @@ __all__ = [
 ]
 
 
+def run_flow(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+    spec_path: Path | None = None,
+    context_paths: Sequence | None = None,
+) -> LintResult:
+    """Run the F-rules; see :func:`repro.tools.driver.analyze`.
+
+    ``spec_path`` overrides where F105 reads ``api_spec.json``.
+    """
+    from repro.tools.driver import analyze
+
+    return analyze("flow", paths, rules=rules, root=root,
+                   context_paths=context_paths, spec_path=spec_path)
+
+
 def flow_paths(
     paths: Sequence,
     rules: Sequence | None = None,
@@ -65,7 +82,7 @@ def flow_paths(
     spec_path: Path | None = None,
     context_paths: Sequence | None = None,
 ) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.flow.runner.run_flow`."""
+    """Analyze files/directories; see :func:`run_flow`."""
     return run_flow(
         paths, rules=rules, root=root,
         spec_path=spec_path, context_paths=context_paths,

@@ -1,6 +1,6 @@
 """``python -m repro.tools.flow`` — run the flow analyzer."""
 
-from repro.tools.flow.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("flow"))

@@ -23,7 +23,7 @@ F105   api-drift             The exported API surface (names, signatures,
 =====  ====================  ==================================================
 
 Unlike the single-file R-rules, every F-rule needs the shared
-:class:`~repro.tools.flow.graph.FlowIndex`; the runner builds it once and
+:class:`~repro.tools.flow.graph.FlowIndex`; the driver builds it once and
 binds it onto each rule before the check pass.
 """
 
@@ -59,7 +59,7 @@ _INERT_DECORATORS = frozenset({
 
 
 class FlowRule(Rule):
-    """Base class for flow rules; the runner injects the shared index."""
+    """Base class for flow rules; the driver injects the shared index."""
 
     def __init__(self, index: FlowIndex | None = None):
         self.index = index

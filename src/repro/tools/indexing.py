@@ -16,7 +16,9 @@ violations, and the flow index, keyed by a *content fingerprint* of the
 analyzed files (resolved path, mtime, size).  Editing any analyzed file
 invalidates the entry, so a long-lived test session never sees a stale
 index, while back-to-back flow and race runs over the same tree share
-one parse and one index build.
+one parse and one index build.  The flow index and every analyzer model
+are built on first use, so a ``repro lint`` run, which reads only the
+parsed project, never pays for them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.tools.flow.graph import FlowIndex, build_index
 from repro.tools.lint.engine import (
     Project,
     iter_python_files,
@@ -33,11 +34,18 @@ from repro.tools.lint.engine import (
 )
 
 __all__ = [
+    "CONTEXT_DIR_NAMES",
     "IndexedProject",
+    "build_flow_index",
     "clear_index_cache",
+    "detect_context_paths",
     "index_cache_info",
     "load_indexed_project",
 ]
+
+#: Sibling directories of the analyzed package that count as liveness
+#: roots for F104 (they consume the API without being part of it).
+CONTEXT_DIR_NAMES = ("benchmarks", "examples", "tests")
 
 #: Upper bound on memoized projects; the cache resets past this to keep
 #: long pytest sessions (many fixture mini-trees) from accumulating ASTs.
@@ -49,65 +57,88 @@ _STATS = {"hits": 0, "misses": 0}
 
 @dataclass
 class IndexedProject:
-    """One parsed project plus the indexes every analyzer shares."""
+    """One parsed project plus the indexes every analyzer shares.
+
+    The flow index and the analyzer models are built lazily and memoized
+    on the entry, so repeated runs over an unchanged tree share them the
+    way all tools share the parse.  Their imports are deferred: only the
+    runs that read a model pay for it, and the analyzer packages can
+    import this facade without a cycle.
+    """
 
     project: Project
-    index: FlowIndex
     parse_violations: list = field(default_factory=list)
     n_files: int = 0
-    _loop_model: object = None
-    _shape_model: object = None
-    _wire_model: object = None
+    #: Benchmark/example/test modules parsed alongside the project.
+    context_modules: list = field(default_factory=list)
+    _built: dict = field(default_factory=dict, repr=False)
+
+    def _memoized(self, name: str, build):
+        if name not in self._built:
+            self._built[name] = build()
+        return self._built[name]
 
     @property
-    def context_modules(self) -> list:
-        """Benchmark/example/test modules parsed alongside the project."""
-        return self.index.context_modules
+    def index(self):
+        """The shared :class:`~repro.tools.flow.graph.FlowIndex`."""
+        from repro.tools.flow.graph import build_index
+
+        return self._memoized("index", lambda: build_index(
+            self.project, context_modules=self.context_modules))
+
+    def concurrency_model(self):
+        """The race analyzer's concurrency index."""
+        from repro.tools.race.concurrency import build_concurrency
+
+        return self._memoized("concurrency",
+                              lambda: build_concurrency(self.index))
 
     def loop_model(self):
-        """The perf analyzer's loop-nest model, built lazily and memoized.
+        """The perf analyzer's loop-nest model."""
+        from repro.tools.perf.loops import build_loop_model
 
-        Lives on the cached entry so repeated ``repro perf`` runs over an
-        unchanged tree share the model the way all tools share the parse.
-        The import is deferred: only perf runs pay for it, and the perf
-        package can import this facade without a cycle.
-        """
-        if self._loop_model is None:
-            from repro.tools.perf.loops import build_loop_model
-
-            self._loop_model = build_loop_model(self.index)
-        return self._loop_model
+        return self._memoized("loop", lambda: build_loop_model(self.index))
 
     def shape_model(self):
-        """The shape analyzer's array-fact model, built lazily and memoized.
+        """The shape analyzer's array-fact model."""
+        from repro.tools.shape.arrays import build_shape_model
 
-        Lives on the cached entry so repeated ``repro shape`` runs over
-        an unchanged tree share the model the way all tools share the
-        parse.  The import is deferred: only shape runs pay for it, and
-        the shape package can import this facade without a cycle.
-        """
-        if self._shape_model is None:
-            from repro.tools.shape.arrays import build_shape_model
-
-            self._shape_model = build_shape_model(self.index)
-        return self._shape_model
+        return self._memoized("shape",
+                              lambda: build_shape_model(self.index))
 
     def wire_model(self):
-        """The wire analyzer's contract model, built lazily and memoized.
+        """The wire analyzer's contract model.
 
-        Lives on the cached entry so repeated ``repro wire`` runs over
-        an unchanged tree share the model the way all tools share the
-        parse.  The import is deferred: only wire runs pay for it, and
-        the wire package can import this facade without a cycle.  The
-        wire model consumes :meth:`shape_model` for W504's dtype facts,
-        so one wire run warms both.
+        It consumes :meth:`shape_model` for W504's dtype facts, so one
+        wire run warms both.
         """
-        if self._wire_model is None:
-            from repro.tools.wire.wiremodel import build_wire_model
+        from repro.tools.wire.wiremodel import build_wire_model
 
-            self._wire_model = build_wire_model(self.index,
-                                                self.shape_model())
-        return self._wire_model
+        return self._memoized("wire", lambda: build_wire_model(
+            self.index, self.shape_model()))
+
+
+def detect_context_paths(paths: Sequence) -> list:
+    """Locate benchmarks/examples/tests next to the analyzed tree.
+
+    Walks up from the first analyzed path to the enclosing project root
+    (marked by ``pyproject.toml``) and returns whichever of
+    :data:`CONTEXT_DIR_NAMES` exist there.  Returns ``[]`` when no project
+    root is found, so fixture trees analyzed in isolation get no implicit
+    context.
+    """
+    for raw in paths:
+        start = Path(raw).resolve()
+        if start.is_file():
+            start = start.parent
+        for candidate in (start, *start.parents):
+            if (candidate / "pyproject.toml").is_file():
+                return [
+                    candidate / name
+                    for name in CONTEXT_DIR_NAMES
+                    if (candidate / name).is_dir()
+                ]
+    return []
 
 
 def _stat_entries(paths: Sequence) -> tuple:
@@ -135,11 +166,11 @@ def load_indexed_project(
     """Parse ``paths`` (+ context) once and memoize the shared indexes.
 
     ``context_paths`` must already be resolved by the caller (see
-    :func:`repro.tools.flow.runner.detect_context_paths`); pass ``()``
-    to analyze in isolation.  Two calls with identical arguments and
-    unchanged files return the *same* :class:`IndexedProject` object —
-    callers must treat the project and index as read-only and copy the
-    parse-violation list before appending to it.
+    :func:`detect_context_paths`); pass ``()`` to analyze in isolation.
+    Two calls with identical arguments and unchanged files return the
+    *same* :class:`IndexedProject` object — callers must treat the
+    project and index as read-only and copy the parse-violation list
+    before appending to it.
     """
     key = _fingerprint(paths, root, context_paths)
     cached = _CACHE.get(key)
@@ -169,14 +200,33 @@ def load_indexed_project(
 
     loaded = IndexedProject(
         project=project,
-        index=build_index(project, context_modules=context_modules),
         parse_violations=parse_violations,
         n_files=n_files,
+        context_modules=context_modules,
     )
     if len(_CACHE) >= _CACHE_LIMIT:
         _CACHE.clear()
     _CACHE[key] = loaded
     return loaded
+
+
+def build_flow_index(
+    paths: Sequence,
+    root: Path | None = None,
+    context_paths: Sequence | None = None,
+):
+    """Parse ``paths`` (+ context) and build the shared flow index.
+
+    ``context_paths=None`` auto-detects sibling benchmarks/examples/tests
+    via :func:`detect_context_paths`; pass ``()`` to analyze in isolation.
+    Loading is memoized, so a ``repro race`` run over the same tree
+    reuses this index instead of parsing the project twice.
+    """
+    if context_paths is None:
+        context_paths = detect_context_paths(paths)
+    return load_indexed_project(
+        paths, root=root, context_paths=context_paths,
+    ).index
 
 
 def clear_index_cache() -> None:

@@ -72,7 +72,7 @@ def lint_paths(
     rules: Sequence | None = None,
     root: Path | None = None,
 ) -> LintResult:
-    """Lint files/directories; see :func:`repro.tools.lint.engine.run_lint`."""
+    """Lint files/directories; see :func:`repro.tools.driver.analyze`."""
     return run_lint(paths, rules=rules, root=root)
 
 
@@ -84,34 +84,19 @@ def lint_source(
     """Lint one in-memory source snippet (used by the rule unit tests)."""
     import ast
 
-    from repro.tools.lint.engine import (
-        apply_suppressions,
-        parse_suppressions,
-        suppression_violations,
-    )
+    from repro.tools.lint.engine import parse_suppressions, run_rules
 
-    if rules is None:
-        rules = default_rules()
-    known_codes = {rule.code for rule in rules} | {ENGINE_CODE}
-    violations: list[Violation] = []
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
-        violations.append(Violation(
+        return LintResult(violations=[Violation(
             code=ENGINE_CODE,
             message=f"could not parse file: {exc.msg}",
             path=filename, line=exc.lineno or 1,
-        ))
-        return LintResult(violations=violations, n_files=1)
+        )], n_files=1)
     module = ModuleInfo(
         path=Path(filename), relpath=filename, source=source, tree=tree,
         suppressions=parse_suppressions(source),
     )
-    project = Project(modules=[module])
-    violations.extend(suppression_violations(module, known_codes))
-    for rule in rules:
-        violations.extend(rule.check_module(module, project))
-        violations.extend(rule.check_project(project))
-    violations = apply_suppressions(violations, {module.relpath: module})
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    return LintResult(violations=violations, n_files=1)
+    return run_rules(default_rules() if rules is None else rules,
+                     Project(modules=[module]), n_files=1)

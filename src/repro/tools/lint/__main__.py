@@ -1,6 +1,6 @@
 """``python -m repro.tools.lint`` — run the invariant checker."""
 
-from repro.tools.lint.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("lint"))

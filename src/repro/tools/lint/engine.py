@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "COMPANION_CODES",
     "ENGINE_CODE",
     "LintResult",
     "ModuleInfo",
@@ -47,26 +46,13 @@ __all__ = [
     "parse_suppressions",
     "register_rule",
     "run_lint",
+    "run_rules",
     "suppression_violations",
 ]
 
 #: Code reserved for engine-level problems (parse failures, malformed or
 #: unknown suppressions).  Never suppressible.
 ENGINE_CODE = "R000"
-
-#: Codes owned by companion analyzers sharing the ``# repro: disable=``
-#: comment syntax in the same source tree.  ``repro lint`` must not report
-#: a justified ``repro flow``, ``repro race``, ``repro perf``,
-#: ``repro shape``, or ``repro wire`` suppression as an unknown code (and
-#: vice versa: the flow, race, perf, shape, and wire runners include the
-#: R-codes in their known sets).
-COMPANION_CODES = frozenset({
-    "F101", "F102", "F103", "F104", "F105",
-    "C201", "C202", "C203", "C204", "C205", "C206",
-    "P301", "P302", "P303", "P304", "P305", "P306",
-    "S401", "S402", "S403", "S404", "S405", "S406",
-    "W501", "W502", "W503", "W504", "W505", "W506",
-})
 
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro:\s*disable=(?P<codes>[A-Za-z0-9_,\s]+?)"
@@ -151,6 +137,8 @@ class Project:
     """Every module of one lint run, plus cross-module indexes."""
 
     modules: list = field(default_factory=list)
+    _class_defs: dict | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def module_by_dotted_name(self, dotted: str) -> ModuleInfo | None:
         """Look up a module by import path (``repro.learn.base``), if linted."""
@@ -165,7 +153,11 @@ class Project:
         Bases are reduced to the final attribute component
         (``repro.learn.base.BaseEstimator`` -> ``BaseEstimator``) so the
         hierarchy can be chased by name across modules without imports.
+        Built on the first call and memoized: a project's module list is
+        complete once it is loaded, and half a dozen rules and models ask.
         """
+        if self._class_defs is not None:
+            return self._class_defs
         index: dict[str, list] = {}
         for module in self.modules:
             for node in ast.walk(module.tree):
@@ -177,6 +169,7 @@ class Project:
                     if (base_name := _final_name(base)) is not None
                 )
                 index.setdefault(node.name, []).append((module, node, bases))
+        self._class_defs = index
         return index
 
     def subclasses_of(self, roots: Iterable[str]) -> set:
@@ -314,9 +307,8 @@ def load_module(path: Path, root: Path | None = None) -> tuple:
 def suppression_violations(module: ModuleInfo, known_codes: set) -> Iterator[Violation]:
     """Engine-level findings about a module's suppression comments.
 
-    Shared by ``repro lint`` and ``repro flow``: a suppression without a
-    reason, targeting :data:`ENGINE_CODE`, or naming a code that neither
-    the current run nor a companion analyzer owns is itself a violation.
+    A suppression without a reason, targeting :data:`ENGINE_CODE`, or
+    naming a code outside ``known_codes`` is itself a violation.
     """
     for suppression in module.suppressions:
         if not suppression.reason:
@@ -337,7 +329,7 @@ def suppression_violations(module: ModuleInfo, known_codes: set) -> Iterator[Vio
                     path=module.relpath,
                     line=suppression.line,
                 )
-            elif code not in known_codes and code not in COMPANION_CODES:
+            elif code not in known_codes:
                 yield Violation(
                     code=ENGINE_CODE,
                     message=f"suppression names unknown rule code {code!r}",
@@ -390,28 +382,23 @@ class LintResult:
         return 1 if self.unsuppressed else 0
 
 
-def run_lint(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-) -> LintResult:
-    """Lint ``paths`` with ``rules`` (default: every registered rule)."""
-    if rules is None:
-        rules = [cls() for _, cls in sorted(RULE_REGISTRY.items())]
-    known_codes = {rule.code for rule in rules} | {ENGINE_CODE}
+def run_rules(rules: Sequence, project: Project, violations: Iterable = (),
+              n_files: int = 0) -> LintResult:
+    """Run ``rules`` over a parsed ``project``: the one rule loop.
 
-    project = Project()
-    violations: list[Violation] = []
-    n_files = 0
-    for path in iter_python_files(paths):
-        n_files += 1
-        module, parse_violations = load_module(path, root=root)
-        violations.extend(parse_violations)
-        if module is not None:
-            project.modules.append(module)
+    Every analyzer ends here.  A suppression may name any code of any
+    registered analyzer (they share one comment syntax and one tree), so
+    the known codes come from :mod:`repro.tools.driver`'s registry plus
+    the codes of ``rules`` themselves.  ``violations`` seeds the result
+    (parse failures); it is copied, never appended to.
+    """
+    # Deferred: the registry imports every analyzer, which import this.
+    from repro.tools.driver import known_codes
 
+    known = known_codes() | {rule.code for rule in rules}
+    violations = list(violations)
     for module in project.modules:
-        violations.extend(suppression_violations(module, known_codes))
+        violations.extend(suppression_violations(module, known))
         for rule in rules:
             violations.extend(rule.check_module(module, project))
     for rule in rules:
@@ -421,3 +408,14 @@ def run_lint(
     violations = apply_suppressions(violations, modules_by_path)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return LintResult(violations=violations, n_files=n_files)
+
+
+def run_lint(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+) -> LintResult:
+    """Lint ``paths`` with ``rules`` (default: every registered rule)."""
+    from repro.tools.driver import analyze
+
+    return analyze("lint", paths, rules=rules, root=root)

@@ -62,7 +62,6 @@ from typing import Sequence
 from repro.tools.lint.engine import LintResult
 from repro.tools.perf.loops import LoopModel, build_loop_model
 from repro.tools.perf.rules import default_perf_rules
-from repro.tools.perf.runner import run_perf
 
 __all__ = [
     "LintResult",
@@ -74,6 +73,20 @@ __all__ = [
 ]
 
 
+def run_perf(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+    context_paths: Sequence | None = None,
+    spec_path: Path | None = None,
+) -> LintResult:
+    """Run the P-rules; see :func:`repro.tools.driver.analyze`."""
+    from repro.tools.driver import analyze
+
+    return analyze("perf", paths, rules=rules, root=root,
+                   context_paths=context_paths, spec_path=spec_path)
+
+
 def perf_paths(
     paths: Sequence,
     rules: Sequence | None = None,
@@ -81,6 +94,6 @@ def perf_paths(
     context_paths: Sequence | None = None,
     spec_path: Path | None = None,
 ) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.perf.runner.run_perf`."""
+    """Analyze files/directories; see :func:`run_perf`."""
     return run_perf(paths, rules=rules, root=root,
                     context_paths=context_paths, spec_path=spec_path)

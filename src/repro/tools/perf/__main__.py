@@ -1,6 +1,6 @@
 """``python -m repro.tools.perf`` — run the performance analyzer."""
 
-from repro.tools.perf.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("perf"))

@@ -1,7 +1,7 @@
 """The P-rules: static performance findings over the shared loop model.
 
 Each rule queries the :class:`~repro.tools.perf.loops.LoopModel` built
-once per run and injected by the runner (mirroring how the C-rules
+once per run and injected by the driver (mirroring how the C-rules
 receive the concurrency index).  All six are project rules, but every
 violation is anchored to the file and line of the offending loop or
 call, so the shared suppression machinery applies unchanged.
@@ -59,7 +59,7 @@ _REFIT_SCOPES = (
 
 
 class PerfRule(Rule):
-    """Base class for P-rules; the runner injects the loop model."""
+    """Base class for P-rules; the driver injects the loop model."""
 
     def __init__(self, model: LoopModel | None = None):
         self.model = model

@@ -58,7 +58,6 @@ from typing import Sequence
 
 from repro.tools.race.concurrency import ConcurrencyIndex, build_concurrency
 from repro.tools.race.rules import default_race_rules
-from repro.tools.race.runner import run_race
 from repro.tools.lint.engine import LintResult
 
 __all__ = [
@@ -71,12 +70,25 @@ __all__ = [
 ]
 
 
+def run_race(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+    context_paths: Sequence | None = None,
+) -> LintResult:
+    """Run the C-rules; see :func:`repro.tools.driver.analyze`."""
+    from repro.tools.driver import analyze
+
+    return analyze("race", paths, rules=rules, root=root,
+                   context_paths=context_paths)
+
+
 def race_paths(
     paths: Sequence,
     rules: Sequence | None = None,
     root: Path | None = None,
     context_paths: Sequence | None = None,
 ) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.race.runner.run_race`."""
+    """Analyze files/directories; see :func:`run_race`."""
     return run_race(paths, rules=rules, root=root,
                     context_paths=context_paths)

@@ -1,6 +1,6 @@
 """``python -m repro.tools.race`` — run the concurrency analyzer."""
 
-from repro.tools.race.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("race"))

@@ -1,7 +1,7 @@
 """The C-rules: concurrency hazards over the shared concurrency model.
 
 Each rule queries the :class:`~repro.tools.race.concurrency.ConcurrencyIndex`
-built once per run and injected by the runner (mirroring how the F-rules
+built once per run and injected by the driver (mirroring how the F-rules
 receive the flow index).  All six are project rules — their findings come
 from the model, not from re-walking individual files — but every
 violation is anchored to the file and line of the offending construct,
@@ -28,7 +28,7 @@ __all__ = [
 
 
 class RaceRule(Rule):
-    """Base class for C-rules; the runner injects the concurrency index."""
+    """Base class for C-rules; the driver injects the concurrency index."""
 
     def __init__(self, con: ConcurrencyIndex | None = None):
         self.con = con

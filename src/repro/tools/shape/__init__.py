@@ -66,7 +66,6 @@ from typing import Sequence
 from repro.tools.lint.engine import LintResult
 from repro.tools.shape.arrays import ShapeModel, build_shape_model
 from repro.tools.shape.rules import default_shape_rules
-from repro.tools.shape.runner import run_shape
 
 __all__ = [
     "LintResult",
@@ -78,6 +77,20 @@ __all__ = [
 ]
 
 
+def run_shape(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+    context_paths: Sequence | None = None,
+    spec_path: Path | None = None,
+) -> LintResult:
+    """Run the S-rules; see :func:`repro.tools.driver.analyze`."""
+    from repro.tools.driver import analyze
+
+    return analyze("shape", paths, rules=rules, root=root,
+                   context_paths=context_paths, spec_path=spec_path)
+
+
 def shape_paths(
     paths: Sequence,
     rules: Sequence | None = None,
@@ -85,6 +98,6 @@ def shape_paths(
     context_paths: Sequence | None = None,
     spec_path: Path | None = None,
 ) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.shape.runner.run_shape`."""
+    """Analyze files/directories; see :func:`run_shape`."""
     return run_shape(paths, rules=rules, root=root,
                      context_paths=context_paths, spec_path=spec_path)

@@ -1,6 +1,6 @@
 """``python -m repro.tools.shape`` — run the shape analyzer."""
 
-from repro.tools.shape.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("shape"))

@@ -1,7 +1,7 @@
 """The S-rules: static array-contract findings over the shared shape model.
 
 Each rule queries the :class:`~repro.tools.shape.arrays.ShapeModel`
-built once per run and injected by the runner (mirroring how the
+built once per run and injected by the driver (mirroring how the
 P-rules receive the loop model).  All six are project rules, but every
 violation is anchored to the file and line of the offending expression,
 so the shared suppression machinery applies unchanged.
@@ -62,7 +62,7 @@ _BOUNDARY_SCOPE = "repro.platforms"
 
 
 class ShapeRule(Rule):
-    """Base class for S-rules; the runner injects the shape model."""
+    """Base class for S-rules; the driver injects the shape model."""
 
     def __init__(self, model: ShapeModel | None = None):
         self.model = model

@@ -64,7 +64,6 @@ from typing import Sequence
 
 from repro.tools.lint.engine import LintResult
 from repro.tools.wire.rules import default_wire_rules
-from repro.tools.wire.runner import run_wire
 from repro.tools.wire.wiremodel import WireModel, build_wire_model
 
 __all__ = [
@@ -77,6 +76,20 @@ __all__ = [
 ]
 
 
+def run_wire(
+    paths: Sequence,
+    rules: Sequence | None = None,
+    root: Path | None = None,
+    context_paths: Sequence | None = None,
+    spec_path: Path | None = None,
+) -> LintResult:
+    """Run the W-rules; see :func:`repro.tools.driver.analyze`."""
+    from repro.tools.driver import analyze
+
+    return analyze("wire", paths, rules=rules, root=root,
+                   context_paths=context_paths, spec_path=spec_path)
+
+
 def wire_paths(
     paths: Sequence,
     rules: Sequence | None = None,
@@ -84,6 +97,6 @@ def wire_paths(
     context_paths: Sequence | None = None,
     spec_path: Path | None = None,
 ) -> LintResult:
-    """Analyze files/directories; see :func:`repro.tools.wire.runner.run_wire`."""
+    """Analyze files/directories; see :func:`run_wire`."""
     return run_wire(paths, rules=rules, root=root,
                     context_paths=context_paths, spec_path=spec_path)

@@ -1,6 +1,6 @@
 """``python -m repro.tools.wire`` — run the wire analyzer."""
 
-from repro.tools.wire.cli import main
+from repro.tools.driver import main
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main("wire"))

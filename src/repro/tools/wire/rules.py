@@ -1,7 +1,7 @@
 """The W-rules: static wire-contract findings over the shared wire model.
 
 Each rule queries the :class:`~repro.tools.wire.wiremodel.WireModel`
-built once per run and injected by the runner (mirroring how the
+built once per run and injected by the driver (mirroring how the
 S-rules receive the shape model).  All six are project rules, but every
 violation is anchored to the file and line of the offending route,
 mapping, or acquisition, so the shared suppression machinery applies
@@ -59,7 +59,7 @@ __all__ = [
 
 
 class WireRule(Rule):
-    """Base class for W-rules; the runner injects the wire model."""
+    """Base class for W-rules; the driver injects the wire model."""
 
     def __init__(self, model: WireModel | None = None):
         self.model = model

@@ -43,7 +43,7 @@ def test_the_analyzer_still_sees_the_hot_code():
     # Guard against the gate passing vacuously: the loop model must
     # cover the substrate's known loops and the documented suppressions
     # must be the ones this PR negotiated with the analyzer.
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.perf.loops import build_loop_model
 
     index = build_flow_index([SOURCE_ROOT])
@@ -73,7 +73,7 @@ def test_the_analyzer_still_sees_the_hot_code():
 
 def test_checked_in_spec_matches_a_fresh_derivation():
     from repro.tools.perf.complexity import derive_complexity, load_spec
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.perf.loops import build_loop_model
 
     spec = load_spec()

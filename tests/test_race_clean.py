@@ -41,7 +41,7 @@ def test_the_analyzer_still_sees_the_concurrent_code():
     # Guard against the gate passing vacuously: the model must contain
     # the scheduler's worker closure, its locks, and the known (documented)
     # suppressions in the service layer.
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.race.concurrency import build_concurrency
 
     index = build_flow_index([SOURCE_ROOT])

@@ -45,7 +45,7 @@ def test_the_analyzer_still_sees_the_array_code():
     # Guard against the gate passing vacuously: the shape model must
     # carry array facts through the substrate and prove the platform
     # boundary validated.
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
 
     index = build_flow_index([SOURCE_ROOT])
@@ -65,7 +65,7 @@ def test_the_analyzer_still_sees_the_array_code():
 
 
 def test_checked_in_spec_matches_a_fresh_derivation():
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
     from repro.tools.shape.contracts import derive_contracts, load_spec
 

@@ -43,7 +43,7 @@ def test_the_analyzer_still_sees_the_serving_layer():
     # Guard against the gate passing vacuously: the wire model must
     # really derive the gateway's route table, the client's
     # expectations, and the protocol's taxonomy.
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
     from repro.tools.wire.wiremodel import build_wire_model
 
@@ -73,7 +73,7 @@ def test_the_analyzer_still_sees_the_serving_layer():
 
 
 def test_checked_in_spec_matches_a_fresh_derivation():
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
     from repro.tools.wire.spec import derive_wire_spec, load_spec
     from repro.tools.wire.spec import DEFAULT_SPEC_PATH

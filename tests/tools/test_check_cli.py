@@ -65,6 +65,21 @@ def test_unknown_tool_is_a_usage_error(capsys):
     assert "unknown analyzer(s): quantum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selection", [",", " , ", ""])
+def test_an_empty_tool_selection_is_a_usage_error(selection, tmp_path,
+                                                   capsys):
+    # A selection naming no analyzer must not pass as a green gate, even
+    # on a tree with findings.
+    (tmp_path / "dirty.py").write_text(
+        "import random\n\nVALUE = random.random()\n"
+        "FLAG = random.randint(0, 1)\n", encoding="utf-8")
+    assert run_main([str(tmp_path), "--tools", "lint"])[0] == EXIT_FINDINGS
+    code, output = run_main([str(tmp_path), "--tools", selection])
+    assert code == EXIT_USAGE
+    assert output == ""
+    assert "--tools names no analyzer" in capsys.readouterr().err
+
+
 def test_nonexistent_path_is_a_usage_error():
     code, _ = run_main(["definitely/not/a/path"])
     assert code == EXIT_USAGE

@@ -7,6 +7,9 @@ other tools' codes as *known* (no R000 unknown-code finding) while
 still reporting a genuinely unknown code.
 """
 
+import pytest
+
+from repro.tools.driver import ANALYZERS, analyze
 from repro.tools.flow import flow_paths
 from repro.tools.lint import lint_paths
 from repro.tools.perf import perf_paths
@@ -94,3 +97,14 @@ def test_all_six_tools_reject_a_truly_unknown_code(tmp_path):
         result = runner([tree], root=tree, **kwargs)
         messages = r000_messages(result)
         assert any("Z999" in message for message in messages), runner
+
+
+@pytest.mark.parametrize("name", list(ANALYZERS))
+def test_every_analyzer_accepts_every_registered_code(name, tmp_path):
+    codes = sorted(rule.code for analyzer in ANALYZERS.values()
+                   for rule in analyzer.rules())
+    body = "".join(f"# repro: disable={code} -- owned by a registered "
+                   f"analyzer\n" for code in codes)
+    tree = write_tree(tmp_path, f'"""All codes."""\n\n__all__ = []\n{body}')
+    result = analyze(name, [tree], root=tree, context_paths=())
+    assert r000_messages(result) == []

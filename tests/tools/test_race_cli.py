@@ -4,10 +4,13 @@ import io
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro.cli
-from repro.tools.race.cli import main as race_main
+from repro.tools.driver import main
+
+race_main = partial(main, "race")
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "race_fixtures"

@@ -4,10 +4,13 @@ import io
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro.cli
-from repro.tools.shape.cli import main as shape_main
+from repro.tools.driver import main
+
+shape_main = partial(main, "shape")
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "shape_fixtures"
@@ -120,17 +123,3 @@ def test_update_spec_round_trips(tmp_path):
     code, _ = run_main(["--update-spec", "--spec", str(spec), str(pkg)])
     assert code == 0
     assert spec.read_text(encoding="utf-8") == first
-
-
-def test_checked_in_spec_is_the_update_spec_fixed_point(tmp_path):
-    # Rederiving the real tree's contracts must reproduce the committed
-    # spec byte for byte, so `--update-spec` never churns the diff.
-    from repro.tools.shape.contracts import DEFAULT_SPEC_PATH
-
-    spec = tmp_path / "spec.py"
-    code, _ = run_main([
-        "--update-spec", "--spec", str(spec), str(REPO_SRC / "repro"),
-    ])
-    assert code == 0
-    assert spec.read_text(encoding="utf-8") == \
-        DEFAULT_SPEC_PATH.read_text(encoding="utf-8")

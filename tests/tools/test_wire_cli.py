@@ -4,10 +4,13 @@ import io
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import repro.cli
-from repro.tools.wire.cli import main as wire_main
+from repro.tools.driver import main
+
+wire_main = partial(main, "wire")
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURES = Path(__file__).resolve().parent / "wire_fixtures"
@@ -135,17 +138,3 @@ def test_fixture_spec_match_is_update_spec_output(tmp_path):
     assert spec.read_text(encoding="utf-8") == \
         (FIXTURES / "w506_metrics" / "spec_match.py").read_text(
             encoding="utf-8")
-
-
-def test_checked_in_spec_is_the_update_spec_fixed_point(tmp_path):
-    # Rederiving the real tree's wire contract must reproduce the
-    # committed spec byte for byte, so `--update-spec` never churns.
-    from repro.tools.wire.spec import DEFAULT_SPEC_PATH
-
-    spec = tmp_path / "spec.py"
-    code, _ = run_main([
-        "--update-spec", "--spec", str(spec), str(REPO_SRC / "repro"),
-    ])
-    assert code == 0
-    assert spec.read_text(encoding="utf-8") == \
-        DEFAULT_SPEC_PATH.read_text(encoding="utf-8")
