@@ -129,16 +129,10 @@ def run_check_command(args: argparse.Namespace, out=None) -> int:
     if args.tools is not None:
         tools = [name.strip() for name in args.tools.split(",")
                  if name.strip()]
-        choices = f"(choose from {', '.join(TOOL_NAMES)})"
-        if not tools:
-            # An empty selection would run nothing and pass vacuously.
-            return driver.usage_error(f"--tools names no analyzer {choices}")
-        unknown = sorted(set(tools) - set(TOOL_NAMES))
-        if unknown:
-            return driver.usage_error(
-                f"unknown analyzer(s): {', '.join(unknown)} {choices}")
-
-    report = run_check(paths, root=Path.cwd(), tools=tools)
+    try:
+        report = run_check(paths, root=Path.cwd(), tools=tools)
+    except ValueError as exc:  # an empty or unknown --tools selection
+        return driver.usage_error(str(exc))
     if report.n_files == 0:
         return driver.usage_error(driver.NO_FILES)
     if args.artifacts_dir is not None:

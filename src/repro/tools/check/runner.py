@@ -77,10 +77,20 @@ def run_check(
     """Run every analyzer over ``paths`` sharing one parsed index.
 
     ``tools`` restricts the run to a subset of :data:`TOOL_NAMES`
-    (order is normalized to suite order).  The shared project is loaded
-    first, so every tool's run is a cache hit.  Each tool is called
-    through this module's globals, so a tracer can wrap them.
+    (order is normalized to suite order); an empty selection or an
+    unknown name raises ``ValueError``, since running nothing would
+    pass vacuously.  The shared project is loaded first, so every
+    tool's run is a cache hit.  Each tool is called through this
+    module's globals, so a tracer can wrap them.
     """
+    if tools is not None:
+        choices = f"(choose from {', '.join(TOOL_NAMES)})"
+        if not tools:
+            raise ValueError(f"--tools names no analyzer {choices}")
+        unknown = sorted(set(tools) - set(TOOL_NAMES))
+        if unknown:
+            raise ValueError(
+                f"unknown analyzer(s): {', '.join(unknown)} {choices}")
     if context_paths is None:
         context_paths = detect_context_paths(paths)
     selected = TOOL_NAMES if tools is None else tuple(

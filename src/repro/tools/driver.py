@@ -36,7 +36,12 @@ from repro.tools.indexing import (
     detect_context_paths,
     load_indexed_project,
 )
-from repro.tools.lint.engine import ENGINE_CODE, LintResult, run_rules
+from repro.tools.lint.engine import (
+    ENGINE_CODE,
+    LintResult,
+    run_rules,
+    write_spec,
+)
 from repro.tools.lint.reporters import REPORTERS
 from repro.tools.lint.rules import default_rules
 from repro.tools.perf import complexity
@@ -109,20 +114,20 @@ def _write_api_spec(loaded: IndexedProject, path: Path) -> str:
 
 def _write_complexity_spec(loaded: IndexedProject, path: Path) -> str:
     spec = complexity.derive_complexity(loaded.loop_model())
-    complexity.write_spec(spec, path)
+    write_spec(path, complexity.render_spec(spec))
     return f"wrote derived complexity of {len(spec)} estimator(s) to {path}"
 
 
 def _write_contracts_spec(loaded: IndexedProject, path: Path) -> str:
     spec = contracts.derive_contracts(loaded.shape_model())
-    contracts.write_spec(spec, path)
+    write_spec(path, contracts.render_spec(spec))
     return (f"wrote derived array contracts of {len(spec)} estimator(s) "
             f"to {path}")
 
 
 def _write_wire_spec(loaded: IndexedProject, path: Path) -> str:
     spec = wire_spec.derive_wire_spec(loaded.wire_model())
-    wire_spec.write_spec(spec, path)
+    write_spec(path, wire_spec.render_spec(spec))
     return (f"wrote derived wire contract ({len(spec['routes'])} "
             f"route(s), {len(spec['client'])} client method(s), "
             f"{len(spec['errors'])} error kind(s)) to {path}")

@@ -75,15 +75,4 @@ def run_flow(
                    context_paths=context_paths, spec_path=spec_path)
 
 
-def flow_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    spec_path: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`run_flow`."""
-    return run_flow(
-        paths, rules=rules, root=root,
-        spec_path=spec_path, context_paths=context_paths,
-    )
+flow_paths = run_flow

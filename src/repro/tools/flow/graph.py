@@ -17,6 +17,10 @@ The resolution is deliberately *approximate*: anything dynamic
 (``getattr``, dict dispatch, callables passed as values) resolves to
 nothing rather than to a guess, so rules built on top err toward silence,
 not false alarms.
+
+The race, perf, shape and wire models share their AST helpers, the
+memoized lookups on :class:`FlowIndex` and (perf, shape) the
+:class:`BlockWalker` statement walk from here.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Iterator, Sequence
 from repro.tools.lint.engine import ModuleInfo, Project
 
 __all__ = [
+    "BlockWalker",
     "CallSite",
     "FlowIndex",
     "FunctionInfo",
@@ -36,6 +41,9 @@ __all__ = [
     "build_index",
     "dotted_path",
     "import_bindings",
+    "names_in",
+    "safe_unparse",
+    "store_names",
 ]
 
 
@@ -49,6 +57,30 @@ def dotted_path(node: ast.expr) -> tuple | None:
         parts.append(node.id)
         return tuple(reversed(parts))
     return None
+
+
+def safe_unparse(node: ast.AST, limit: int | None = 60) -> str:
+    """Source text of ``node`` cut to ``limit`` characters (None: whole)."""
+    try:
+        text = ast.unparse(node)
+    except Exception:  # pragma: no cover - unparse never fails on ast.parse output
+        text = "<expr>"
+    if limit is None or len(text) <= limit:
+        return text
+    return text[: limit - 1] + "…"
+
+
+def names_in(node: ast.AST) -> set:
+    """Every plain name referenced anywhere under ``node``."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def store_names(node: ast.AST) -> set:
+    """Every plain name stored anywhere under ``node`` (incl. loop targets)."""
+    return {
+        n.id for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+    }
 
 
 @dataclass(frozen=True)
@@ -183,6 +215,8 @@ class FlowIndex:
     classes: dict = field(default_factory=dict)      # (module, class) -> ast.ClassDef
     import_edges: list = field(default_factory=list)
     calls: dict = field(default_factory=dict)        # caller key -> [CallSite]
+    _call_targets: dict | None = field(default=None, repr=False)
+    _numpy_aliases: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Symbol resolution
@@ -271,6 +305,73 @@ class FlowIndex:
         while target and target not in self.modules:
             target = target.rpartition(".")[0]
         return target or None
+
+    def call_targets(self) -> dict:
+        """``id(call node) -> callee key`` for every resolved call site.
+
+        Built once per index and shared by every model that folds over
+        the call graph.  A call node belongs to exactly one caller's
+        sites, so its id alone names the site.
+        """
+        if self._call_targets is None:
+            self._call_targets = {
+                id(site.node): site.target
+                for sites in self.calls.values() for site in sites
+                if site.target is not None
+            }
+        return self._call_targets
+
+    def estimator_methods(self, methods: Sequence) -> Iterator[tuple]:
+        """``(module.Class, method, function key)`` per estimator method.
+
+        Covers public ``BaseEstimator`` subclasses defined in the
+        analyzed modules (context modules are excluded) that implement
+        ``fit``, in class order, and each of ``methods`` they define, in
+        the given order: the entries of the estimator specs.
+        """
+        estimators = self.project.subclasses_of(["BaseEstimator"])
+        analyzed = {m.dotted_name for m in self.project.modules}
+        for module_name, class_name in sorted(self.classes):
+            fit = (module_name, f"{class_name}.fit")
+            if class_name not in estimators or class_name.startswith("_") \
+                    or module_name not in analyzed \
+                    or fit not in self.functions:
+                continue
+            for method in methods:
+                key = (module_name, f"{class_name}.{method}")
+                if key in self.functions:
+                    yield f"{module_name}.{class_name}", method, key
+
+    def reachable(self, roots: Sequence, limit: int) -> Iterator:
+        """Functions reachable from ``roots`` over resolved calls.
+
+        Depth first, each :class:`FunctionInfo` once; the walk stops
+        once more than ``limit`` function keys have been seen.
+        """
+        seen = set(roots)
+        frontier = list(roots)
+        while frontier and len(seen) <= limit:
+            key = frontier.pop()
+            info = self.functions.get(key)
+            if info is None or key[0] not in self.modules:
+                continue
+            yield info
+            for site in self.calls.get(key, ()):
+                if site.target is not None and site.target not in seen:
+                    seen.add(site.target)
+                    frontier.append(site.target)
+
+    def numpy_aliases(self, module_name: str) -> set:
+        """Local names bound to the numpy module in ``module_name``."""
+        if module_name not in self._numpy_aliases:
+            aliases = {"np", "numpy"}
+            for local, binding in self.bindings.get(module_name, {}).items():
+                if binding.symbol is None and (
+                        binding.module == "numpy"
+                        or binding.module.startswith("numpy.")):
+                    aliases.add(local)
+            self._numpy_aliases[module_name] = aliases
+        return self._numpy_aliases[module_name]
 
 
 def _collect_symbols(index: FlowIndex, module: ModuleInfo) -> None:
@@ -449,3 +550,69 @@ def build_index(project: Project, context_modules: Sequence = ()) -> FlowIndex:
         _collect_import_edges(index, module)
         _collect_calls(index, module)
     return index
+
+
+class BlockWalker:
+    """The statement walk of one function body the perf and shape models share.
+
+    Statements are visited in source order: ``for``/``while`` loops go to
+    :meth:`_enter_loop`, ``if`` tests and ``with`` items to
+    :meth:`_scan_expr`, ``return`` to :meth:`_visit_return`, and every
+    other simple statement to :meth:`_scan_statement`; compound bodies
+    are walked in place.  Nested ``def``/``class`` scopes are skipped:
+    they are modelled separately (or not at all).  Subclasses take
+    ``(info, relpath, numpy aliases)``, keep the aliases as ``self.np``,
+    implement the hooks and return their per-function facts from
+    :meth:`run`.
+    """
+
+    @classmethod
+    def build_all(cls, index: FlowIndex) -> dict:
+        """``function key -> facts`` for every function of a parsed module."""
+        functions = {}
+        for key, info in index.functions.items():
+            module = index.modules.get(info.module_name)
+            if module is not None:
+                functions[key] = cls(
+                    info, module.relpath,
+                    index.numpy_aliases(info.module_name)).run()
+        return functions
+
+    def _np_name(self, func: ast.expr) -> str | None:
+        """``np.foo`` -> ``"foo"`` when the root name aliases numpy."""
+        if (isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in self.np):
+            return func.attr
+        return None
+
+    def _visit_block(self, stmts) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.For, ast.AsyncFor)):
+                self._enter_loop(stmt, kind="for")
+            elif isinstance(stmt, ast.While):
+                self._enter_loop(stmt, kind="while")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                continue
+            elif isinstance(stmt, ast.If):
+                self._scan_expr(stmt.test)
+                self._visit_block(stmt.body)
+                self._visit_block(stmt.orelse)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    self._scan_expr(item.context_expr)
+                self._visit_block(stmt.body)
+            elif isinstance(stmt, ast.Try):
+                self._visit_block(stmt.body)
+                for handler in stmt.handlers:
+                    self._visit_block(handler.body)
+                self._visit_block(stmt.orelse)
+                self._visit_block(stmt.finalbody)
+            elif isinstance(stmt, ast.Return):
+                self._visit_return(stmt)
+            else:
+                self._scan_statement(stmt)
+
+    def _visit_return(self, stmt: ast.Return) -> None:
+        self._scan_statement(stmt)

@@ -67,13 +67,7 @@ __all__ = [
 ]
 
 
-def lint_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-) -> LintResult:
-    """Lint files/directories; see :func:`repro.tools.driver.analyze`."""
-    return run_lint(paths, rules=rules, root=root)
+lint_paths = run_lint
 
 
 def lint_source(

@@ -19,6 +19,10 @@ statement.  A suppression without a ``-- reason`` (or naming an unknown
 rule code) is itself reported as an ``R000`` violation, so every surviving
 suppression in the tree carries a human-readable justification.  ``R000``
 violations cannot be suppressed.
+
+The analyzers that read a shared model (perf, shape, wire) build their
+rules on :class:`ModelRule` and its spec-checking subclasses here, and
+read their checked-in literal specs through :func:`load_spec`.
 """
 
 from __future__ import annotations
@@ -33,21 +37,26 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "ENGINE_CODE",
+    "EstimatorSpecRule",
     "LintResult",
+    "ModelRule",
     "ModuleInfo",
     "Project",
     "Rule",
     "RULE_REGISTRY",
+    "SpecRule",
     "Suppression",
     "Violation",
     "apply_suppressions",
     "iter_python_files",
     "load_module",
+    "load_spec",
     "parse_suppressions",
     "register_rule",
     "run_lint",
     "run_rules",
     "suppression_violations",
+    "write_spec",
 ]
 
 #: Code reserved for engine-level problems (parse failures, malformed or
@@ -212,6 +221,138 @@ class Rule:
     def check_project(self, project: Project) -> Iterable[Violation]:
         """Yield violations needing a whole-project view (override if used)."""
         return ()
+
+
+class ModelRule(Rule):
+    """Base class for rules reading a model the driver binds as ``model``.
+
+    The perf, shape and wire models expose the flow ``index``; perf's
+    and shape's also map each function key to facts carrying ``key``
+    and ``relpath``.
+    """
+
+    def __init__(self, model=None):
+        self.model = model
+
+    def _violation(self, fn, line: int, col: int, message: str) -> Violation:
+        qualname = fn.key[1] or "<module>"
+        return Violation(
+            code=self.code,
+            message=f"{message} [{qualname}]",
+            path=fn.relpath,
+            line=line,
+            col=col,
+        )
+
+    def _functions(self) -> Iterator:
+        analyzed = {
+            m.dotted_name for m in self.model.index.project.modules
+        }
+        for key in sorted(self.model.functions):
+            if key[0] in analyzed:
+                yield self.model.functions[key]
+
+
+class SpecRule(ModelRule):
+    """A model rule that diffs a derivation against a checked-in spec.
+
+    Subclasses name their default spec as the class attribute
+    ``spec_path``; a ``spec_path`` argument (``--spec``) overrides it.
+    """
+
+    spec_path: Path
+
+    def __init__(self, model=None, spec_path: Path | None = None):
+        super().__init__(model)
+        if spec_path is not None:
+            self.spec_path = spec_path
+
+    def _spec_relpath(self) -> str:
+        """The spec's path as reported: its relpath when it was analyzed."""
+        for module in self.model.index.modules.values():
+            try:
+                if module.path.resolve() == self.spec_path.resolve():
+                    return module.relpath
+            except OSError:  # pragma: no cover - resolve on a dead path
+                continue
+        return str(self.spec_path)
+
+
+class EstimatorSpecRule(SpecRule):
+    """Diff a per-estimator derivation against a checked-in literal spec.
+
+    Subclasses set ``spec_name`` (the spec file's variable), ``derive``
+    (model -> ``{"module.Class": entry}``) and ``describe``, which
+    words each case :meth:`spec_diff` yields.
+    """
+
+    spec_name: str
+
+    def check_project(self, project: Project) -> Iterable[Violation]:
+        """Compare a fresh derivation against the checked-in spec."""
+        derived = self.derive(self.model)
+        spec = load_spec(self.spec_path, self.spec_name)
+        for case, class_path, path, line in self.spec_diff(derived, spec):
+            yield Violation(
+                code=self.code,
+                message=self.describe(case, class_path, derived, spec),
+                path=path, line=line,
+            )
+
+    def spec_diff(self, derived: dict, spec: dict | None) -> Iterator[tuple]:
+        """``(case, class path, path, line)`` per disagreement.
+
+        ``case`` is ``"missing"`` (no usable spec: the only case, class
+        path ``None``), ``"unrecorded"`` (a derived estimator the spec
+        lacks), ``"differs"`` (the entries disagree; both anchored at
+        the class) or ``"stale"`` (a spec entry for an analyzed module
+        naming no derived estimator; anchored at the spec).
+        """
+        spec_relpath = self._spec_relpath()
+        if spec is None:
+            yield "missing", None, spec_relpath, 1
+            return
+        index = self.model.index
+        for class_path in sorted(derived):
+            module_name, _, class_name = class_path.rpartition(".")
+            node = index.classes.get((module_name, class_name))
+            line = node.lineno if node is not None else 1
+            relpath = index.modules[module_name].relpath \
+                if module_name in index.modules else spec_relpath
+            if class_path not in spec:
+                yield "unrecorded", class_path, relpath, line
+            elif spec[class_path] != derived[class_path]:
+                yield "differs", class_path, relpath, line
+        analyzed = {m.dotted_name for m in index.project.modules}
+        for class_path in sorted(set(spec) - set(derived)):
+            if class_path.rpartition(".")[0] in analyzed:
+                yield "stale", class_path, spec_relpath, 1
+
+
+def load_spec(path: Path, name: str) -> dict | None:
+    """The dict literal bound to ``name`` in the spec file at ``path``.
+
+    The file is read as an AST literal rather than imported, so a
+    just-rewritten spec is visible at once and a broken one cannot
+    crash the analyzer: a missing, unparseable or non-dict spec reads
+    as ``None``, which the spec rules report.
+    """
+    try:
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == name
+                    for target in node.targets):
+                value = ast.literal_eval(node.value)
+                return value if isinstance(value, dict) else None
+    except (OSError, SyntaxError, ValueError):
+        return None
+    return None
+
+
+def write_spec(path: Path, text: str) -> None:
+    """Replace the spec file at ``path`` with a renderer's ``text``."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 #: Registry of rule code -> rule class, filled by ``@register_rule``.

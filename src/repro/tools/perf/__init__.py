@@ -87,13 +87,4 @@ def run_perf(
                    context_paths=context_paths, spec_path=spec_path)
 
 
-def perf_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`run_perf`."""
-    return run_perf(paths, rules=rules, root=root,
-                    context_paths=context_paths, spec_path=spec_path)
+perf_paths = run_perf

@@ -18,7 +18,6 @@ loop structure is recorded by re-running ``repro perf --update-spec``.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 from repro.tools.perf.loops import LoopModel
@@ -27,9 +26,7 @@ __all__ = [
     "DEFAULT_SPEC_PATH",
     "SPEC_DIMS",
     "derive_complexity",
-    "load_spec",
     "render_spec",
-    "write_spec",
 ]
 
 #: Axes recorded in the spec, mirroring the paper's Table 1 columns.
@@ -65,34 +62,20 @@ __all__ = ["COMPLEXITY"]
 def derive_complexity(model: LoopModel) -> dict:
     """Map ``module.Class`` -> ``{method: {dim: depth}}`` for estimators.
 
-    Covers public ``BaseEstimator`` subclasses defined in the analyzed
-    modules (context modules are excluded) that implement ``fit``; the
+    Covers the estimators of
+    :meth:`~repro.tools.flow.graph.FlowIndex.estimator_methods`; the
     recorded dims are restricted to :data:`SPEC_DIMS` with zero depths
     omitted, so a fully vectorized method appears as ``{}``.
     """
-    index = model.index
-    estimator_names = index.project.subclasses_of(["BaseEstimator"])
-    analyzed = {m.dotted_name for m in index.project.modules}
     depths = model.depth_summary()
     spec: dict = {}
-    for (module_name, class_name) in sorted(index.classes):
-        if class_name not in estimator_names or class_name.startswith("_"):
-            continue
-        if module_name not in analyzed:
-            continue
-        if (module_name, f"{class_name}.fit") not in index.functions:
-            continue
-        methods: dict = {}
-        for method in _SPEC_METHODS:
-            key = (module_name, f"{class_name}.{method}")
-            if key not in index.functions:
-                continue
-            summary = depths.get(key, {})
-            methods[method] = {
-                dim: summary[dim] for dim in SPEC_DIMS
-                if summary.get(dim, 0) > 0
-            }
-        spec[f"{module_name}.{class_name}"] = methods
+    for class_path, method, key in \
+            model.index.estimator_methods(_SPEC_METHODS):
+        summary = depths.get(key, {})
+        spec.setdefault(class_path, {})[method] = {
+            dim: summary[dim] for dim in SPEC_DIMS
+            if summary.get(dim, 0) > 0
+        }
     return spec
 
 
@@ -112,32 +95,3 @@ def render_spec(spec: dict) -> str:
         lines.append("    },")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_spec(spec: dict, path: Path = DEFAULT_SPEC_PATH) -> None:
-    """Rewrite the checked-in spec file with ``spec``."""
-    path.write_text(render_spec(spec), encoding="utf-8")
-
-
-def load_spec(path: Path = DEFAULT_SPEC_PATH) -> dict | None:
-    """The ``COMPLEXITY`` literal from ``path``, or ``None`` if unusable.
-
-    Reads the file as an AST literal rather than importing it, so a
-    just-rewritten spec is visible immediately and a broken spec cannot
-    crash the analyzer (P305 reports it instead).
-    """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return None
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and \
-                        target.id == "COMPLEXITY":
-                    try:
-                        value = ast.literal_eval(node.value)
-                    except ValueError:
-                        return None
-                    return value if isinstance(value, dict) else None
-    return None

@@ -26,21 +26,24 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
+from repro.tools.lint.engine import (
+    EstimatorSpecRule,
+    ModelRule,
+    Project,
+    Violation,
+)
 from repro.tools.perf.complexity import (
     DEFAULT_SPEC_PATH,
     SPEC_DIMS,
     derive_complexity,
-    load_spec,
 )
-from repro.tools.perf.loops import FunctionLoops, LoopModel
+from repro.tools.perf.loops import LoopModel
 
 __all__ = [
     "AxisLoopRule",
     "ComplexitySpecRule",
     "HotLoopAllocRule",
     "InvariantCallRule",
-    "PerfRule",
     "QuadraticGrowthRule",
     "UncachedRefitRule",
     "default_perf_rules",
@@ -58,33 +61,7 @@ _REFIT_SCOPES = (
 )
 
 
-class PerfRule(Rule):
-    """Base class for P-rules; the driver injects the loop model."""
-
-    def __init__(self, model: LoopModel | None = None):
-        self.model = model
-
-    def _violation(self, fn: FunctionLoops, line: int, col: int,
-                   message: str) -> Violation:
-        qualname = fn.key[1] or "<module>"
-        return Violation(
-            code=self.code,
-            message=f"{message} [{qualname}]",
-            path=fn.relpath,
-            line=line,
-            col=col,
-        )
-
-    def _functions(self) -> Iterable[FunctionLoops]:
-        analyzed = {
-            m.dotted_name for m in self.model.index.project.modules
-        }
-        for key in sorted(self.model.functions):
-            if key[0] in analyzed:
-                yield self.model.functions[key]
-
-
-class AxisLoopRule(PerfRule):
+class AxisLoopRule(ModelRule):
     """P301: Python-level loop over an ndarray axis doing per-element work."""
 
     code = "P301"
@@ -119,7 +96,7 @@ class AxisLoopRule(PerfRule):
                 )
 
 
-class QuadraticGrowthRule(PerfRule):
+class QuadraticGrowthRule(ModelRule):
     """P302: growing an array/list by re-concatenation inside a loop."""
 
     code = "P302"
@@ -144,7 +121,7 @@ class QuadraticGrowthRule(PerfRule):
                     )
 
 
-class InvariantCallRule(PerfRule):
+class InvariantCallRule(ModelRule):
     """P303: a loop-invariant pure numpy call recomputed every iteration."""
 
     code = "P303"
@@ -169,7 +146,7 @@ class InvariantCallRule(PerfRule):
                     )
 
 
-class UncachedRefitRule(PerfRule):
+class UncachedRefitRule(ModelRule):
     """P304: repeated pure fits on a search path bypassing the FitCache."""
 
     code = "P304"
@@ -202,7 +179,7 @@ class UncachedRefitRule(PerfRule):
                         )
 
 
-class ComplexitySpecRule(PerfRule):
+class ComplexitySpecRule(EstimatorSpecRule):
     """P305: derived estimator complexity must match the checked-in spec."""
 
     code = "P305"
@@ -214,81 +191,32 @@ class ComplexitySpecRule(PerfRule):
         "to record an intentional change."
     )
 
-    def __init__(self, model: LoopModel | None = None,
-                 spec_path: Path = DEFAULT_SPEC_PATH):
-        super().__init__(model)
-        self.spec_path = spec_path
+    spec_path = DEFAULT_SPEC_PATH
+    spec_name = "COMPLEXITY"
+    derive = staticmethod(derive_complexity)
 
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
-
-    def check_project(self, project: Project) -> Iterable[Violation]:
-        """Compare a fresh derivation against the checked-in spec."""
-        derived = derive_complexity(self.model)
-        spec = load_spec(self.spec_path)
-        spec_relpath = self._spec_relpath()
-        if spec is None:
-            yield Violation(
-                code=self.code,
-                message=(
-                    "complexity spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro perf --update-spec`"
-                ),
-                path=spec_relpath,
-                line=1,
-            )
-            return
-        index = self.model.index
-        for class_path in sorted(derived):
-            module_name, _, class_name = class_path.rpartition(".")
-            node = index.classes.get((module_name, class_name))
-            line = node.lineno if node is not None else 1
-            relpath = index.modules[module_name].relpath \
-                if module_name in index.modules else spec_relpath
-            if class_path not in spec:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"estimator {class_path} is not in the complexity "
-                        "spec; run `repro perf --update-spec` to record "
-                        f"its derived cost {derived[class_path]!r}"
-                    ),
-                    path=relpath, line=line,
-                )
-            elif spec[class_path] != derived[class_path]:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"derived complexity of {class_path} "
-                        f"({derived[class_path]!r}) disagrees with the "
-                        f"spec ({spec[class_path]!r}); vectorize back to "
-                        "the recorded depth or run `repro perf "
-                        "--update-spec` to accept the change"
-                    ),
-                    path=relpath, line=line,
-                )
-        analyzed = {m.dotted_name for m in index.project.modules}
-        for class_path in sorted(set(spec) - set(derived)):
-            module_name = class_path.rpartition(".")[0]
-            if module_name in analyzed:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro perf "
-                        "--update-spec` to drop it"
-                    ),
-                    path=spec_relpath, line=1,
-                )
+    def describe(self, case: str, class_path: str | None, derived: dict,
+                 spec: dict | None) -> str:
+        """P305's wording of one spec disagreement."""
+        if case == "missing":
+            return ("complexity spec is missing or unreadable at "
+                    f"{self.spec_path}; run `repro perf --update-spec`")
+        if case == "unrecorded":
+            return (f"estimator {class_path} is not in the complexity "
+                    "spec; run `repro perf --update-spec` to record "
+                    f"its derived cost {derived[class_path]!r}")
+        if case == "differs":
+            return (f"derived complexity of {class_path} "
+                    f"({derived[class_path]!r}) disagrees with the "
+                    f"spec ({spec[class_path]!r}); vectorize back to "
+                    "the recorded depth or run `repro perf "
+                    "--update-spec` to accept the change")
+        return (f"spec entry {class_path} matches no analyzed "
+                "estimator (renamed or removed); run `repro perf "
+                "--update-spec` to drop it")
 
 
-class HotLoopAllocRule(PerfRule):
+class HotLoopAllocRule(ModelRule):
     """P306: allocation inside per-row hot loops of compiled substrate."""
 
     code = "P306"
@@ -333,6 +261,6 @@ def default_perf_rules(model: LoopModel | None = None,
         QuadraticGrowthRule(model),
         InvariantCallRule(model),
         UncachedRefitRule(model),
-        ComplexitySpecRule(model, spec_path or DEFAULT_SPEC_PATH),
+        ComplexitySpecRule(model, spec_path),
         HotLoopAllocRule(model),
     ]

@@ -83,12 +83,4 @@ def run_race(
                    context_paths=context_paths)
 
 
-def race_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`run_race`."""
-    return run_race(paths, rules=rules, root=root,
-                    context_paths=context_paths)
+race_paths = run_race

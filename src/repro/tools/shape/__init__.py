@@ -91,13 +91,4 @@ def run_shape(
                    context_paths=context_paths, spec_path=spec_path)
 
 
-def shape_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`run_shape`."""
-    return run_shape(paths, rules=rules, root=root,
-                     context_paths=context_paths, spec_path=spec_path)
+shape_paths = run_shape

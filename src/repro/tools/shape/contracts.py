@@ -19,7 +19,6 @@ estimator's array contract is recorded by re-running ``repro shape
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 from repro.tools.shape.arrays import ShapeModel
@@ -28,9 +27,7 @@ __all__ = [
     "DEFAULT_SPEC_PATH",
     "SPEC_METHODS",
     "derive_contracts",
-    "load_spec",
     "render_spec",
-    "write_spec",
 ]
 
 #: Methods whose array contract the spec records, in render order.
@@ -83,40 +80,26 @@ def _return_summary(fn) -> tuple:
 def derive_contracts(model: ShapeModel) -> dict:
     """Map ``module.Class`` -> ``{method: contract}`` for estimators.
 
-    Covers public ``BaseEstimator`` subclasses defined in the analyzed
-    modules (context modules are excluded) that implement ``fit``; each
+    Covers the estimators of
+    :meth:`~repro.tools.flow.graph.FlowIndex.estimator_methods`; each
     method entry records the seeded array parameters (``in``), the
     validated subset (``validates``, sorted tuple), and the return
     summary (``out``/``out_dtype``).
     """
-    index = model.index
-    estimator_names = index.project.subclasses_of(["BaseEstimator"])
-    analyzed = {m.dotted_name for m in index.project.modules}
     validated = model.validated_params()
     spec: dict = {}
-    for (module_name, class_name) in sorted(index.classes):
-        if class_name not in estimator_names or class_name.startswith("_"):
-            continue
-        if module_name not in analyzed:
-            continue
-        if (module_name, f"{class_name}.fit") not in index.functions:
-            continue
-        methods: dict = {}
-        for method in SPEC_METHODS:
-            key = (module_name, f"{class_name}.{method}")
-            if key not in index.functions or key not in model.functions:
-                continue
-            fn = model.functions[key]
-            arrays = dict(sorted(fn.param_arrays.items()))
-            out, out_dtype = _return_summary(fn)
-            methods[method] = {
-                "in": arrays,
-                "validates": tuple(sorted(
-                    set(arrays) & validated.get(key, set()))),
-                "out": out,
-                "out_dtype": out_dtype,
-            }
-        spec[f"{module_name}.{class_name}"] = methods
+    for class_path, method, key in \
+            model.index.estimator_methods(SPEC_METHODS):
+        fn = model.functions[key]
+        arrays = dict(sorted(fn.param_arrays.items()))
+        out, out_dtype = _return_summary(fn)
+        spec.setdefault(class_path, {})[method] = {
+            "in": arrays,
+            "validates": tuple(sorted(
+                set(arrays) & validated.get(key, set()))),
+            "out": out,
+            "out_dtype": out_dtype,
+        }
     return spec
 
 
@@ -136,32 +119,3 @@ def render_spec(spec: dict) -> str:
         lines.append("    },")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_spec(spec: dict, path: Path = DEFAULT_SPEC_PATH) -> None:
-    """Rewrite the checked-in spec file with ``spec``."""
-    path.write_text(render_spec(spec), encoding="utf-8")
-
-
-def load_spec(path: Path = DEFAULT_SPEC_PATH) -> dict | None:
-    """The ``ARRAY_CONTRACTS`` literal from ``path``, or ``None``.
-
-    Reads the file as an AST literal rather than importing it, so a
-    just-rewritten spec is visible immediately and a broken spec cannot
-    crash the analyzer (S405 reports it instead).
-    """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError):
-        return None
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and \
-                        target.id == "ARRAY_CONTRACTS":
-                    try:
-                        value = ast.literal_eval(node.value)
-                    except ValueError:
-                        return None
-                    return value if isinstance(value, dict) else None
-    return None

@@ -33,13 +33,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
-from repro.tools.shape.arrays import FunctionArrays, ShapeModel
-from repro.tools.shape.contracts import (
-    DEFAULT_SPEC_PATH,
-    derive_contracts,
-    load_spec,
+from repro.tools.lint.engine import (
+    EstimatorSpecRule,
+    ModelRule,
+    Project,
+    Violation,
 )
+from repro.tools.shape.arrays import ShapeModel
+from repro.tools.shape.contracts import DEFAULT_SPEC_PATH, derive_contracts
 
 __all__ = [
     "AliasMutationRule",
@@ -47,7 +48,6 @@ __all__ = [
     "ContractSpecRule",
     "DtypeStabilityRule",
     "ShapeMismatchRule",
-    "ShapeRule",
     "SubstrateAccessRule",
     "default_shape_rules",
 ]
@@ -61,33 +61,7 @@ _HOT_DTYPE_SCOPE = "repro.learn"
 _BOUNDARY_SCOPE = "repro.platforms"
 
 
-class ShapeRule(Rule):
-    """Base class for S-rules; the driver injects the shape model."""
-
-    def __init__(self, model: ShapeModel | None = None):
-        self.model = model
-
-    def _violation(self, fn: FunctionArrays, line: int, col: int,
-                   message: str) -> Violation:
-        qualname = fn.key[1] or "<module>"
-        return Violation(
-            code=self.code,
-            message=f"{message} [{qualname}]",
-            path=fn.relpath,
-            line=line,
-            col=col,
-        )
-
-    def _functions(self) -> Iterable[FunctionArrays]:
-        analyzed = {
-            m.dotted_name for m in self.model.index.project.modules
-        }
-        for key in sorted(self.model.functions):
-            if key[0] in analyzed:
-                yield self.model.functions[key]
-
-
-class ShapeMismatchRule(ShapeRule):
+class ShapeMismatchRule(ModelRule):
     """S401: provable dimension conflict at a shape-algebra site."""
 
     code = "S401"
@@ -107,7 +81,7 @@ class ShapeMismatchRule(ShapeRule):
                 yield self._violation(fn, line, col, text)
 
 
-class DtypeStabilityRule(ShapeRule):
+class DtypeStabilityRule(ModelRule):
     """S402: dtype instability on the numeric substrate's hot paths."""
 
     code = "S402"
@@ -149,7 +123,7 @@ class DtypeStabilityRule(ShapeRule):
                     )
 
 
-class AliasMutationRule(ShapeRule):
+class AliasMutationRule(ModelRule):
     """S403: in-place mutation of an aliased or cache-stored array."""
 
     code = "S403"
@@ -183,7 +157,7 @@ class AliasMutationRule(ShapeRule):
                 yield self._violation(fn, line, col, detail)
 
 
-class SubstrateAccessRule(ShapeRule):
+class SubstrateAccessRule(ModelRule):
     """S404: cache-hostile access inside compiled-substrate hot loops."""
 
     code = "S404"
@@ -229,7 +203,7 @@ class SubstrateAccessRule(ShapeRule):
                 yield self._violation(fn, line, col, message)
 
 
-class ContractSpecRule(ShapeRule):
+class ContractSpecRule(EstimatorSpecRule):
     """S405: derived array contracts must match the checked-in spec."""
 
     code = "S405"
@@ -242,88 +216,39 @@ class ContractSpecRule(ShapeRule):
         "--update-spec` to record an intentional change."
     )
 
-    def __init__(self, model: ShapeModel | None = None,
-                 spec_path: Path = DEFAULT_SPEC_PATH):
-        super().__init__(model)
-        self.spec_path = spec_path
+    spec_path = DEFAULT_SPEC_PATH
+    spec_name = "ARRAY_CONTRACTS"
+    derive = staticmethod(derive_contracts)
 
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
-
-    def check_project(self, project: Project) -> Iterable[Violation]:
-        """Compare a fresh derivation against the checked-in spec."""
-        derived = derive_contracts(self.model)
-        spec = load_spec(self.spec_path)
-        spec_relpath = self._spec_relpath()
-        if spec is None:
-            yield Violation(
-                code=self.code,
-                message=(
-                    "array-contract spec is missing or unreadable at "
-                    f"{self.spec_path}; run `repro shape --update-spec`"
-                ),
-                path=spec_relpath,
-                line=1,
+    def describe(self, case: str, class_path: str | None, derived: dict,
+                 spec: dict | None) -> str:
+        """S405's wording of one spec disagreement."""
+        if case == "missing":
+            return ("array-contract spec is missing or unreadable at "
+                    f"{self.spec_path}; run `repro shape --update-spec`")
+        if case == "unrecorded":
+            return (f"estimator {class_path} is not in the "
+                    "array-contract spec; run `repro shape "
+                    "--update-spec` to record its derived contract")
+        if case == "differs":
+            # literal_eval round-trips tuples exactly, so derived
+            # entries compare structurally against the literals.
+            changed = sorted(
+                method for method in
+                set(spec[class_path]) | set(derived[class_path])
+                if spec[class_path].get(method)
+                != derived[class_path].get(method)
             )
-            return
-        index = self.model.index
-        # literal_eval round-trips tuples exactly, so derived entries
-        # compare structurally against the checked-in literals.
-        for class_path in sorted(derived):
-            module_name, _, class_name = class_path.rpartition(".")
-            node = index.classes.get((module_name, class_name))
-            line = node.lineno if node is not None else 1
-            relpath = index.modules[module_name].relpath \
-                if module_name in index.modules else spec_relpath
-            if class_path not in spec:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"estimator {class_path} is not in the "
-                        "array-contract spec; run `repro shape "
-                        "--update-spec` to record its derived contract"
-                    ),
-                    path=relpath, line=line,
-                )
-            elif spec[class_path] != derived[class_path]:
-                changed = sorted(
-                    method for method in
-                    set(spec[class_path]) | set(derived[class_path])
-                    if spec[class_path].get(method)
-                    != derived[class_path].get(method)
-                )
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"derived array contract of {class_path} "
-                        f"disagrees with the spec on {', '.join(changed)}; "
-                        "restore the recorded contract or run `repro "
-                        "shape --update-spec` to accept the change"
-                    ),
-                    path=relpath, line=line,
-                )
-        analyzed = {m.dotted_name for m in index.project.modules}
-        for class_path in sorted(set(spec) - set(derived)):
-            module_name = class_path.rpartition(".")[0]
-            if module_name in analyzed:
-                yield Violation(
-                    code=self.code,
-                    message=(
-                        f"spec entry {class_path} matches no analyzed "
-                        "estimator (renamed or removed); run `repro "
-                        "shape --update-spec` to drop it"
-                    ),
-                    path=spec_relpath, line=1,
-                )
+            return (f"derived array contract of {class_path} "
+                    f"disagrees with the spec on {', '.join(changed)}; "
+                    "restore the recorded contract or run `repro "
+                    "shape --update-spec` to accept the change")
+        return (f"spec entry {class_path} matches no analyzed "
+                "estimator (renamed or removed); run `repro "
+                "shape --update-spec` to drop it")
 
 
-class BoundaryValidationRule(ShapeRule):
+class BoundaryValidationRule(ModelRule):
     """S406: unvalidated arrays crossing the platform API boundary."""
 
     code = "S406"
@@ -373,6 +298,6 @@ def default_shape_rules(model: ShapeModel | None = None,
         DtypeStabilityRule(model),
         AliasMutationRule(model),
         SubstrateAccessRule(model),
-        ContractSpecRule(model, spec_path or DEFAULT_SPEC_PATH),
+        ContractSpecRule(model, spec_path),
         BoundaryValidationRule(model),
     ]

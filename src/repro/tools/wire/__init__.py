@@ -90,13 +90,4 @@ def run_wire(
                    context_paths=context_paths, spec_path=spec_path)
 
 
-def wire_paths(
-    paths: Sequence,
-    rules: Sequence | None = None,
-    root: Path | None = None,
-    context_paths: Sequence | None = None,
-    spec_path: Path | None = None,
-) -> LintResult:
-    """Analyze files/directories; see :func:`run_wire`."""
-    return run_wire(paths, rules=rules, root=root,
-                    context_paths=context_paths, spec_path=spec_path)
+wire_paths = run_wire

@@ -38,12 +38,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.tools.lint.engine import Project, Rule, Violation
-from repro.tools.wire.spec import (
-    DEFAULT_SPEC_PATH,
-    derive_wire_spec,
+from repro.tools.lint.engine import (
+    ModelRule,
+    Project,
+    SpecRule,
+    Violation,
     load_spec,
 )
+from repro.tools.wire.spec import DEFAULT_SPEC_PATH, derive_wire_spec
 from repro.tools.wire.wiremodel import WireModel
 
 __all__ = [
@@ -58,11 +60,8 @@ __all__ = [
 ]
 
 
-class WireRule(Rule):
+class WireRule(ModelRule):
     """Base class for W-rules; the driver injects the wire model."""
-
-    def __init__(self, model: WireModel | None = None):
-        self.model = model
 
     def _site_violations(self, sites) -> Iterable[Violation]:
         for relpath, line, col, message in sites:
@@ -72,22 +71,10 @@ class WireRule(Rule):
             )
 
 
-class _SpecRule(WireRule):
+class _SpecRule(SpecRule):
     """A W-rule that also diffs a derivation against ``wire_spec.py``."""
 
-    def __init__(self, model: WireModel | None = None,
-                 spec_path: Path = DEFAULT_SPEC_PATH):
-        super().__init__(model)
-        self.spec_path = spec_path
-
-    def _spec_relpath(self) -> str:
-        for module in self.model.index.modules.values():
-            try:
-                if module.path.resolve() == self.spec_path.resolve():
-                    return module.relpath
-            except OSError:  # pragma: no cover - resolve on a dead path
-                continue
-        return str(self.spec_path)
+    spec_path = DEFAULT_SPEC_PATH
 
 
 class RouteConformanceRule(_SpecRule):
@@ -158,7 +145,8 @@ class RouteConformanceRule(_SpecRule):
                             path=client.relpath, line=entry["line"],
                         )
 
-        spec = load_spec(self.spec_path)
+        spec = load_spec(self.spec_path, "WIRE_SPEC")
+        spec_relpath = self._spec_relpath()
         if spec is None:
             yield Violation(
                 code=self.code,
@@ -166,11 +154,10 @@ class RouteConformanceRule(_SpecRule):
                     "wire spec is missing or unreadable at "
                     f"{self.spec_path}; run `repro wire --update-spec`"
                 ),
-                path=self._spec_relpath(), line=1,
+                path=spec_relpath, line=1,
             )
             return
         derived = derive_wire_spec(model)
-        spec_relpath = self._spec_relpath()
 
         spec_routes = spec.get("routes", {})
         for key in sorted(derived["routes"]):
@@ -356,7 +343,7 @@ class ErrorTaxonomyRule(_SpecRule):
                 path=relpath, line=line,
             )
 
-        spec = load_spec(self.spec_path)
+        spec = load_spec(self.spec_path, "WIRE_SPEC")
         if spec is None or "errors" not in spec:
             return
         derived = derive_wire_spec(model)["errors"]
@@ -450,7 +437,7 @@ class MetricsSpecRule(_SpecRule):
         model = self.model
         if not model.gateways:
             return
-        spec = load_spec(self.spec_path)
+        spec = load_spec(self.spec_path, "WIRE_SPEC")
         if spec is None or "metrics" not in spec or not spec["metrics"]:
             return
         expected = spec["metrics"]
@@ -483,10 +470,10 @@ def default_wire_rules(model: WireModel | None = None,
                        spec_path: Path | None = None) -> list:
     """The six W-rules, in code order, sharing one wire model."""
     return [
-        RouteConformanceRule(model, spec_path or DEFAULT_SPEC_PATH),
-        ErrorTaxonomyRule(model, spec_path or DEFAULT_SPEC_PATH),
+        RouteConformanceRule(model, spec_path),
+        ErrorTaxonomyRule(model, spec_path),
         ResourceLifecycleRule(model),
         EncodeSafetyRule(model),
         BlockingHandlerRule(model),
-        MetricsSpecRule(model, spec_path or DEFAULT_SPEC_PATH),
+        MetricsSpecRule(model, spec_path),
     ]

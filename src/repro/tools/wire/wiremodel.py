@@ -586,13 +586,7 @@ class _RouteExtractor:
     def _closure_statuses(self, start_key) -> tuple:
         """200 plus the statuses of error kinds raised in the closure."""
         statuses = {200}
-        seen = {start_key}
-        frontier = [start_key]
-        while frontier and len(seen) <= 64:
-            key = frontier.pop()
-            info = self.index.functions.get(key)
-            if info is None or key[0] not in self.index.modules:
-                continue
+        for info in self.index.reachable([start_key], limit=64):
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Raise) \
                         and isinstance(node.exc, ast.Call) \
@@ -600,10 +594,6 @@ class _RouteExtractor:
                         and node.exc.func.id in self.model.error_names:
                     statuses.add(
                         self.model.status_for_kind(node.exc.func.id))
-            for site in self.index.calls.get(key, ()):
-                if site.target is not None and site.target not in seen:
-                    seen.add(site.target)
-                    frontier.append(site.target)
         return tuple(sorted(statuses))
 
     def _record(self, stmt, cons: _Constraints, operation, request,
@@ -1204,14 +1194,8 @@ def _scan_blocking(model: WireModel) -> None:
             if key[0] == gateway.module_name
             and info.class_name == gateway.class_name
         ]
-        seen = set(roots)
-        frontier = list(roots)
-        while frontier and len(seen) <= 128:
-            key = frontier.pop()
-            info = model.index.functions.get(key)
-            if info is None or key[0] not in model.index.modules:
-                continue
-            module = model.index.modules[key[0]]
+        for info in model.index.reachable(roots, limit=128):
+            module = model.index.modules[info.module_name]
             for node in ast.walk(info.node):
                 if isinstance(node, ast.Call):
                     reason = _blocking_reason(node)
@@ -1222,10 +1206,6 @@ def _scan_blocking(model: WireModel) -> None:
                             "answers after the handler returns "
                             f"[reachable from {gateway.class_name}]",
                         ))
-            for site in model.index.calls.get(key, ()):
-                if site.target is not None and site.target not in seen:
-                    seen.add(site.target)
-                    frontier.append(site.target)
     model.blocking_sites.sort()
 
 

@@ -72,11 +72,15 @@ def test_the_analyzer_still_sees_the_hot_code():
 
 
 def test_checked_in_spec_matches_a_fresh_derivation():
-    from repro.tools.perf.complexity import derive_complexity, load_spec
+    from repro.tools.lint.engine import load_spec
+    from repro.tools.perf.complexity import (
+        DEFAULT_SPEC_PATH,
+        derive_complexity,
+    )
     from repro.tools.flow import build_flow_index
     from repro.tools.perf.loops import build_loop_model
 
-    spec = load_spec()
+    spec = load_spec(DEFAULT_SPEC_PATH, "COMPLEXITY")
     assert spec, "complexity_spec.py is missing or empty"
     derived = derive_complexity(build_loop_model(build_flow_index([SOURCE_ROOT])))
     assert derived == spec, (

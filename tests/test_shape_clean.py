@@ -67,9 +67,10 @@ def test_the_analyzer_still_sees_the_array_code():
 def test_checked_in_spec_matches_a_fresh_derivation():
     from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
-    from repro.tools.shape.contracts import derive_contracts, load_spec
+    from repro.tools.lint.engine import load_spec
+    from repro.tools.shape.contracts import DEFAULT_SPEC_PATH, derive_contracts
 
-    spec = load_spec()
+    spec = load_spec(DEFAULT_SPEC_PATH, "ARRAY_CONTRACTS")
     assert spec, "array_contracts_spec.py is missing or empty"
     assert len(spec) >= 26  # covers the estimator zoo, Table-1 style
     derived = derive_contracts(build_shape_model(build_flow_index([SOURCE_ROOT])))

@@ -75,11 +75,12 @@ def test_the_analyzer_still_sees_the_serving_layer():
 def test_checked_in_spec_matches_a_fresh_derivation():
     from repro.tools.flow import build_flow_index
     from repro.tools.shape.arrays import build_shape_model
-    from repro.tools.wire.spec import derive_wire_spec, load_spec
+    from repro.tools.lint.engine import load_spec
+    from repro.tools.wire.spec import derive_wire_spec
     from repro.tools.wire.spec import DEFAULT_SPEC_PATH
     from repro.tools.wire.wiremodel import build_wire_model
 
-    spec = load_spec(DEFAULT_SPEC_PATH)
+    spec = load_spec(DEFAULT_SPEC_PATH, "WIRE_SPEC")
     assert spec, "wire_spec.py is missing or empty"
     assert len(spec["routes"]) >= 11  # the serving surface, Table-1 style
     assert len(spec["client"]) >= 10

@@ -80,6 +80,21 @@ def test_an_empty_tool_selection_is_a_usage_error(selection, tmp_path,
     assert "--tools names no analyzer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tools, message", [
+    ([], "--tools names no analyzer"),
+    (["lnt"], "unknown analyzer(s): lnt"),
+    (["lint", "quantum"], "unknown analyzer(s): quantum"),
+], ids=["empty", "misspelled", "one-unknown"])
+def test_run_check_rejects_a_selection_that_runs_nothing_known(tools,
+                                                                message):
+    # The Python API must not pass vacuously either: this tree has a
+    # W503 finding.
+    with pytest.raises(ValueError) as excinfo:
+        run_check([FIXTURES / "wire_fixtures" / "w503_lifecycle"],
+                  tools=tools)
+    assert str(excinfo.value).startswith(message)
+
+
 def test_nonexistent_path_is_a_usage_error():
     code, _ = run_main(["definitely/not/a/path"])
     assert code == EXIT_USAGE

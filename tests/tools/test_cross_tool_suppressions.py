@@ -80,23 +80,15 @@ def test_wire_accepts_the_other_five_tools_codes(tmp_path):
     assert r000_messages(result) == []
 
 
-def test_all_six_tools_reject_a_truly_unknown_code(tmp_path):
+@pytest.mark.parametrize("name", list(ANALYZERS))
+def test_every_analyzer_rejects_a_truly_unknown_code(name, tmp_path):
     tree = write_tree(tmp_path, (
         '"""Module with a bogus suppression code."""\n\n'
         '__all__ = []\n\n'
         'VALUE = 1  # repro: disable=Z999 -- no tool owns this code\n'
     ))
-    for runner, kwargs in (
-        (lint_paths, {}),
-        (flow_paths, {"context_paths": ()}),
-        (race_paths, {"context_paths": ()}),
-        (perf_paths, {"context_paths": ()}),
-        (shape_paths, {"context_paths": ()}),
-        (wire_paths, {"context_paths": ()}),
-    ):
-        result = runner([tree], root=tree, **kwargs)
-        messages = r000_messages(result)
-        assert any("Z999" in message for message in messages), runner
+    result = analyze(name, [tree], root=tree, context_paths=())
+    assert any("Z999" in message for message in r000_messages(result))
 
 
 @pytest.mark.parametrize("name", list(ANALYZERS))

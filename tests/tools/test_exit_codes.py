@@ -114,6 +114,24 @@ def test_findings_exit_one_through_the_check_cli():
     assert code == EXIT_FINDINGS
 
 
+class _ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone away (``| head``)."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("name", ALL_TOOLS)
+def test_closed_output_stream_is_usage_error_not_crash(name, capsys):
+    argv = [str(FIXTURES / "p301_axis_loop")] if name == "check" \
+        else ["--list-rules"]
+    code = tool_main(name)(argv, out=_ClosedPipe())
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "Traceback" not in err
+
+
 def test_run_guarded_reraises_control_flow_exits():
     def bail(args, out=None):
         raise SystemExit(7)

@@ -31,11 +31,6 @@ def test_list_rules_prints_all_six_rules():
         assert rule_code in output
 
 
-def test_nonexistent_path_is_a_usage_error():
-    code, _ = run_main(["definitely/not/a/path"])
-    assert code == 2
-
-
 def test_clean_tree_exits_zero():
     code, output = run_main([str(REPO_SRC / "repro")])
     assert code == 0
